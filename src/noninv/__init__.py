@@ -15,6 +15,7 @@ from .bounds import (
     check_composition_bound,
     check_max_fiber_degree_bound,
     compare_bounds,
+    sweep_endofunction_pairs,
 )
 from .closed_form import (
     ChainSpec,

@@ -3,12 +3,17 @@
 Every comparison that would involve a square root is done on squares in
 exact rationals instead: max_fiber(f) <= sqrt(n) sqrt(deg(f)) becomes
 max_fiber(f)^2 <= n * deg(f).  No floating point anywhere.
+
+Both bound inequalities reduce to integer comparisons of fiber
+statistics: S = sum of squared fiber sizes and M = the largest fiber
+size (see ``_bounds_hold``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import SizeMismatchError
 from .functions import FiniteFunction, compose
@@ -18,6 +23,7 @@ __all__ = [
     "check_composition_bound",
     "check_max_fiber_degree_bound",
     "compare_bounds",
+    "sweep_endofunction_pairs",
 ]
 
 
@@ -40,18 +46,41 @@ class BoundReport:
     chain_holds: bool
 
 
+def _square_sum(fibers: Sequence[int]) -> int:
+    return sum(c * c for c in fibers)
+
+
+def _bounds_hold(
+    s_comp: int, s_outer: int, m_outer: int, s_inner: int
+) -> tuple[bool, bool]:
+    """(new_holds, chain_holds) for f: Y -> Z after g: X -> Y.
+
+    From S_fg, S_f, M_f and S_g, with n = |X| and |Y|:
+    deg(f o g) <= M_f deg(g) is S_fg / n <= M_f S_g / n, and
+    (M_f deg(g))^2 <= |Y| deg(f) deg(g)^2 is
+    M_f^2 S_g^2 / n^2 <= S_f S_g^2 / n^2.  Cancelling the positive
+    factors n and S_g leaves S_fg <= M_f S_g and M_f^2 <= S_f.
+    """
+    new_holds = s_comp <= m_outer * s_inner
+    return new_holds, new_holds and m_outer * m_outer <= s_outer
+
+
 def _build_report(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
-    deg_comp = compose(f, g).degree()
-    new_bound = f.max_fiber() * g.degree()
-    new_sq = new_bound * new_bound
-    old_sq = f.domain_size * f.degree() * g.degree() ** 2
-    new_holds = deg_comp <= new_bound
+    f_fibers = f.fiber_sizes()
+    s_comp = _square_sum(compose(f, g).fiber_sizes())
+    s_outer, m_outer = _square_sum(f_fibers), max(f_fibers)
+    s_inner = _square_sum(g.fiber_sizes())
+    n = g.domain_size
+    deg_g = Fraction(s_inner, n)
+    new_bound = m_outer * deg_g
+    new_holds, chain_holds = _bounds_hold(s_comp, s_outer, m_outer, s_inner)
     return BoundReport(
-        deg_composition=deg_comp,
+        deg_composition=Fraction(s_comp, n),
         new_bound=new_bound,
-        old_bound_squared_scaled=(new_sq, old_sq),
+        # |Y| deg(f) deg(g)^2 with |Y| deg(f) = S_f
+        old_bound_squared_scaled=(new_bound * new_bound, s_outer * deg_g**2),
         new_holds=new_holds,
-        chain_holds=new_holds and new_sq <= old_sq,
+        chain_holds=chain_holds,
     )
 
 
@@ -97,3 +126,36 @@ def compare_bounds(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
             f"({f.domain_size}->{f.codomain_size})"
         )
     return _build_report(f, g)
+
+
+def sweep_endofunction_pairs(
+    functions: Sequence[FiniteFunction],
+) -> tuple[int, int, int]:
+    """Check both bounds on every pair (f, g) of the given endofunctions
+    of one n-set, as ``compare_bounds`` would.
+
+    Returns (pairs, new_violations, chain_violations).  S and M are read
+    once per function; per pair only the fibers of f o g are counted.
+    """
+    stats = []
+    for f in functions:
+        if not f.domain_size == f.codomain_size == functions[0].domain_size:
+            raise SizeMismatchError(
+                "the sweep needs endofunctions of one set, got "
+                f"({f.domain_size}->{f.codomain_size})"
+            )
+        fibers = f.fiber_sizes()
+        stats.append((f.images, _square_sum(fibers), max(fibers)))
+    pairs = new_violations = chain_violations = 0
+    for f_images, s_outer, m_outer in stats:
+        for g_images, s_inner, _ in stats:
+            counts = [0] * len(f_images)
+            for y in g_images:
+                counts[f_images[y]] += 1
+            new_holds, chain_holds = _bounds_hold(
+                _square_sum(counts), s_outer, m_outer, s_inner
+            )
+            pairs += 1
+            new_violations += not new_holds
+            chain_violations += not chain_holds
+    return pairs, new_violations, chain_violations

@@ -13,7 +13,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .bounds import compare_bounds, check_composition_bound
+from .bounds import (
+    check_composition_bound,
+    compare_bounds,
+    sweep_endofunction_pairs,
+)
 from .closed_form import (
     ChainSpec,
     closed_multinomial_power_sum,
@@ -23,7 +27,7 @@ from .closed_form import (
     stirling_identity_sum,
 )
 from .combinatorics import StirlingTable, stirling_transform
-from .errors import NoninvError
+from .errors import InvalidSizeError, NoninvError
 from .functions import load_function
 from .montecarlo import (
     SamplerConfig,
@@ -328,22 +332,21 @@ def _bound_report_line(label: str, report) -> str:
 
 def _cmd_bounds(args) -> int:
     if args.exhaustive:
-        if args.n is None:
+        n = args.n
+        if n is None:
             raise NoninvError("--exhaustive requires --n")
-        pairs = 0
-        new_violations = 0
-        chain_violations = 0
-        fns = list(enumerate_functions(args.n, args.n))
-        for f in fns:
-            for g in fns:
-                report = compare_bounds(f, g)
-                pairs += 1
-                new_violations += not report.new_holds
-                chain_violations += not report.chain_holds
+        if n < 1:
+            raise InvalidSizeError(f"--n must be >= 1, got {n}")
+        DEFAULT_BUDGET.check_powers(
+            [(n, 2 * n)], f"exhaustive sweep of endofunction pairs on a {n}-set"
+        )
+        pairs, new_violations, chain_violations = sweep_endofunction_pairs(
+            list(enumerate_functions(n, n))
+        )
         ok = new_violations == 0 and chain_violations == 0
         _emit_envelope(
             args,
-            {"n": args.n, "exhaustive": True},
+            {"n": n, "exhaustive": True},
             [
                 {
                     "pairs": pairs,

@@ -13,11 +13,13 @@ least one of these paths; the chain expectation has all three.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import comb
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
@@ -38,6 +40,11 @@ __all__ = [
     "check_square_moment_identity",
 ]
 
+# Counts of objects are formed exactly only up to this value (or up to
+# the budget, if that is larger): a count can have millions of digits,
+# which costs time to form and makes str() raise past 4300 digits.
+_EXACT_COUNT_CEILING = 10**100
+
 
 @dataclass(frozen=True)
 class EnumerationBudget:
@@ -51,17 +58,73 @@ class EnumerationBudget:
                 f"budget must be >= 1, got {self.max_states}"
             )
 
-    def check(self, states: int, what: str) -> None:
-        if states > self.max_states:
-            raise BudgetExceededError(
-                f"{what} needs {states} enumerated objects, "
-                f"budget is {self.max_states}"
-            )
+    @property
+    def _ceiling(self) -> int:
+        """Largest count that is formed exactly; at least the budget."""
+        return max(_EXACT_COUNT_CEILING, self.max_states)
+
+    def check(self, states: Optional[int], what: str) -> None:
+        """Refuse more than ``max_states`` objects.
+
+        ``states`` is None for a count known only to exceed the budget,
+        such as one that was not formed past ``_ceiling``.
+        """
+        if states is not None and states <= self.max_states:
+            return
+        needs = (
+            str(states)
+            if states is not None and states <= self._ceiling
+            else f"more than {self.max_states}"
+        )
+        raise BudgetExceededError(
+            f"{what} needs {needs} enumerated objects, "
+            f"budget is {self.max_states}"
+        )
+
+    def check_powers(
+        self, powers: Iterable[tuple[int, int]], what: str
+    ) -> None:
+        """``check`` on the product of base**exponent over ``powers``
+        (bases >= 1), never forming a number much past ``_ceiling``."""
+        ceiling = self._ceiling
+        bits = ceiling.bit_length()
+        count: Optional[int] = 1
+        for base, exponent in powers:
+            # base^e >= 2^(e * (bit_length - 1)); below that cut-off the
+            # power has at most about 2 * bits bits
+            if base > 1 and exponent * (base.bit_length() - 1) >= bits:
+                count = None
+                break
+            count *= base**exponent
+            if count > ceiling:
+                count = None
+                break
+        self.check(count, what)
 
 
 DEFAULT_BUDGET = EnumerationBudget()
 
 ExactValue = Union[int, Fraction]
+
+
+def _count_weak_compositions(
+    total: int, parts: int, limit: int
+) -> Optional[int]:
+    """``count_weak_compositions(total, parts)``, or None once it exceeds
+    ``limit``.
+
+    It is comb(total + parts - 1, k) with k = min(total, parts - 1); the
+    i-th partial product is comb(total + parts - 1 - k + i, i) >= 2^i, so
+    the loop stops within bit_length(limit) + 1 steps for any sizes.
+    """
+    n = total + parts - 1
+    k = min(total, parts - 1)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > limit:
+            return None
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,32 +188,106 @@ def _fiber_square_sum(images: Sequence[int], codomain_size: int) -> int:
     return sum(c * c for c in counts)
 
 
+def _kernel(g: Sequence[int]) -> tuple[int, ...]:
+    """g relabelled by first occurrence: equal for g and pi o g for every
+    bijection pi, so it names the partition of the domain that g induces."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(y, len(labels)) for y in g)
+
+
 def brute_expected_degree_chain(
     spec: ChainSpec, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact average of deg(f_t o ... o f_1) over all function tuples.
 
-    Folds each tuple incrementally: the DFS keeps the partial composition
-    X_1 -> X_{s+1} and never materializes a tuple of functions, so memory
-    stays O(t * n) while the arithmetic remains exact.
+    Enumerates the tuples as a tree: a node at level s is the partial
+    composition g: X_1 -> X_{s+1}, and its tail sum adds the fiber square
+    sums of f_t o ... o f_{s+1} o g over all choices of f_{s+1}..f_t.
+    The tail sum is memoized on (s, kernel of g).  This is exact: for a
+    bijection pi of X_{s+1}, f -> f o pi^-1 permutes the functions of the
+    next level, so pi o g and g have the same tail sum, and two maps with
+    the same kernel differ by such a pi.  Each level enumerates all of
+    its functions once per distinct key; the leaf level is summed
+    directly.  Memory is the memo: at most one entry per set partition
+    of X_1 per level.
+
+    The budget counts the tuples a memo-free enumeration would visit,
+    ``spec.tuple_count()``.
     """
     sizes = spec.sizes
     t = spec.t
-    budget.check(spec.tuple_count(), f"chain enumeration for {sizes}")
-    n1 = sizes[0]
-    total = 0
+    budget.check_powers(
+        [(sizes[s + 1], sizes[s]) for s in range(t)],
+        f"chain enumeration for {sizes}",
+    )
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def descend(level: int, g: tuple[int, ...]) -> None:
-        nonlocal total
+    def tail(level: int, g: tuple[int, ...]) -> int:
         if level == t:
-            total += _fiber_square_sum(g, sizes[t])
-            return
-        dom, cod = sizes[level], sizes[level + 1]
-        for f in product(range(cod), repeat=dom):
-            descend(level + 1, tuple(f[x] for x in g))
+            return _fiber_square_sum(g, sizes[t])
+        key = (level, _kernel(g))
+        if key not in memo:
+            dom, cod = sizes[level], sizes[level + 1]
+            memo[key] = sum(
+                tail(level + 1, tuple(f[x] for x in g))
+                for f in product(range(cod), repeat=dom)
+            )
+        return memo[key]
 
-    descend(0, tuple(range(n1)))
-    return Fraction(total, n1 * spec.tuple_count())
+    n1 = sizes[0]
+    return Fraction(tail(0, tuple(range(n1))), n1 * spec.tuple_count())
+
+
+def _profile(k: Sequence[int]) -> tuple[int, ...]:
+    """Nonzero parts of a weak composition, as a partition."""
+    return tuple(sorted((p for p in k if p), reverse=True))
+
+
+def _partitions(
+    total: int, max_len: int, max_part: int
+) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into at most ``max_len`` parts of size at
+    most ``max_part``, largest part first.
+
+    A first part below ceil(total / max_len) leaves too much for the
+    other parts, so it is never tried: when max_part * max_len >= total
+    every branch yields, and a partition costs O(max_len).
+    """
+    if total == 0:
+        yield ()
+        return
+    smallest = -(-total // max_len)
+    for first in range(min(total, max_part), smallest - 1, -1):
+        for rest in _partitions(total - first, max_len - 1, first):
+            yield (first,) + rest
+
+
+def _nested_sum_work(sizes: Sequence[int], limit: int) -> Optional[int]:
+    """Compositions the memoized nested sum visits at most, or None once
+    the count exceeds ``limit``.
+
+    The top level visits the weak compositions of n_t into n_{t+1} parts.
+    Level s < t visits, per memo key, the compositions of n_s supported
+    on the key's parts.  Its keys are partitions of n_{s+1} with at most
+    min(n_{s+1}, ..., n_{t+1}) parts, since a profile never has more
+    nonzero parts than the one above it.
+    """
+    t = len(sizes) - 1
+    levels = chain(
+        [(sizes[t - 1], sizes[t])],
+        (
+            (sizes[s - 1], len(key))
+            for s in range(1, t)
+            for key in _partitions(sizes[s], min(sizes[s:]), sizes[s])
+        ),
+    )
+    work = 0
+    for total, parts in levels:
+        count = _count_weak_compositions(total, parts, limit)
+        if count is None or work + count > limit:
+            return None
+        work += count
+    return work
 
 
 def multinomial_expected_degree_chain(
@@ -158,38 +295,43 @@ def multinomial_expected_degree_chain(
 ) -> Fraction:
     """Chain expectation via nested sums over fiber-size profiles.
 
-    Level s sums over weak compositions of n_s into n_{t+1} parts; the
-    weight linking level s to level s+1 is prod_i k_{s+1,i}^{k_{s,i}}
-    (the count of functions realizing those nested fiber sizes), and the
-    innermost level carries sum_i k_{1,i}^2.  Level sums are memoized on
-    the sorted next-level profile, which they are symmetric in.
+    Level s sums over weak compositions k_s of n_s, the fiber sizes of
+    f_s o ... o f_1 over X_{s+1}; the weight linking level s to level s+1
+    is multinomial(n_s; k_s) * prod_i k_{s+1,i}^{k_{s,i}} (the count of
+    functions realizing those nested fiber sizes), and the innermost
+    level carries sum_i k_{1,i}^2.  The top level sums over all weak
+    compositions of n_t into n_{t+1} parts.
+
+    Each lower level is summed once per memo key, the sorted nonzero
+    parts of k_{s+1}: the level sum is symmetric in k_{s+1}, and a zero
+    part forces k_{s,i} = 0 (0^k = 0 for k >= 1), so only compositions
+    supported on the nonzero parts are visited.  The budget counts those
+    compositions up front, bounding the keys of level s by the partitions
+    of n_{s+1} (see ``_nested_sum_work``).
     """
     sizes = spec.sizes
     t = spec.t
     parts = sizes[-1]
-    for s in range(t):
-        budget.check(
-            count_weak_compositions(sizes[s], parts),
-            f"weak compositions of {sizes[s]} into {parts} parts",
-        )
+    budget.check(
+        _nested_sum_work(sizes, budget.max_states),
+        f"nested-sum oracle for {sizes}",
+    )
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def level_sum(s: int, k_next: tuple[int, ...]) -> int:
         # sum over profiles at 1-based level s, given level s+1's profile
-        key = (s, tuple(sorted(k_next)))
+        key = (s, k_next)
         if key in memo:
             return memo[key]
         acc = 0
-        for k in weak_compositions(sizes[s - 1], parts):
+        for k in weak_compositions(sizes[s - 1], len(k_next)):
             weight = multinomial(sizes[s - 1], k)
             for ki, ni in zip(k, k_next):
                 weight *= ni**ki
-            if weight == 0:
-                continue
             if s == 1:
                 acc += weight * sum(ki * ki for ki in k)
             else:
-                acc += weight * level_sum(s - 1, k)
+                acc += weight * level_sum(s - 1, _profile(k))
         memo[key] = acc
         return acc
 
@@ -199,25 +341,42 @@ def multinomial_expected_degree_chain(
         if t == 1:
             total += weight * sum(ki * ki for ki in k_top)
         else:
-            total += weight * level_sum(t - 1, k_top)
+            total += weight * level_sum(t - 1, _profile(k_top))
     return Fraction(total, sizes[0] * spec.tuple_count())
+
+
+@lru_cache(maxsize=4)
+def _fiber_profile_histogram(
+    n: int, m: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(sorted fiber sizes, number of functions) over all m^n functions."""
+    histogram: Counter[tuple[int, ...]] = Counter()
+    for images in product(range(m), repeat=n):
+        counts = [0] * m
+        for y in images:
+            counts[y] += 1
+        histogram[tuple(sorted(counts))] += 1
+    return tuple(histogram.items())
 
 
 def brute_expected_degree_q(
     n: int, m: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Fraction:
-    """Exact average of deg(f, q) over all m^n functions."""
+    """Exact average of deg(f, q) over all m^n functions.
+
+    The functions are enumerated once per (n, m) into a histogram of
+    sorted fiber profiles, which every q then reads; the budget counts
+    the m^n functions on every call.
+    """
     if n < 1 or m < 1:
         raise InvalidSizeError(f"set sizes must be >= 1, got ({n}, {m})")
     if q < 1:
         raise InvalidExponentError(f"exponent must be >= 1, got {q}")
-    budget.check(m**n, f"enumeration of all functions ({n}, {m})")
-    total = 0
-    for images in product(range(m), repeat=n):
-        counts = [0] * m
-        for y in images:
-            counts[y] += 1
-        total += sum(c**q for c in counts)
+    budget.check_powers([(m, n)], f"enumeration of all functions ({n}, {m})")
+    total = sum(
+        count * sum(c**q for c in fibers)
+        for fibers, count in _fiber_profile_histogram(n, m)
+    )
     return Fraction(total, n * m**n)
 
 
@@ -235,7 +394,7 @@ def multinomial_power_sum(
     if q < 0:
         raise InvalidExponentError(f"exponent must be >= 0, got {q}")
     budget.check(
-        count_weak_compositions(n, m),
+        _count_weak_compositions(n, m, budget._ceiling),
         f"weak compositions of {n} into {m} parts",
     )
     total = 0

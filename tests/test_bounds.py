@@ -15,7 +15,9 @@ from noninv import (
     enumerate_functions,
     identity_function,
     make_function,
+    sweep_endofunction_pairs,
 )
+from noninv.bounds import _bounds_hold
 
 
 class TestCompositionBound:
@@ -129,3 +131,47 @@ class TestCompareBounds:
         g = make_function(n, n, data.draw(imgs))
         report = compare_bounds(f, g)
         assert report.new_holds and report.chain_holds
+
+
+class TestSweepPredicate:
+    def test_matches_compare_bounds_on_every_pair(self):
+        for n in (1, 2, 3):
+            fns = list(enumerate_functions(n, n))
+            for f in fns:
+                for g in fns:
+                    report = compare_bounds(f, g)
+                    comp = [0] * n
+                    for y in g.images:
+                        comp[f.images[y]] += 1
+                    got = _bounds_hold(
+                        sum(c * c for c in comp),
+                        sum(c * c for c in f.fiber_sizes()),
+                        f.max_fiber(),
+                        sum(c * c for c in g.fiber_sizes()),
+                    )
+                    assert got == (report.new_holds, report.chain_holds)
+
+    def test_matches_rational_inequalities(self):
+        # any statistics, including ones no function pair has, so both
+        # outcomes of each inequality are reached
+        for n, size_y in [(1, 1), (2, 3), (3, 2)]:
+            for s_comp, s_outer, m_outer, s_inner in product(
+                range(1, 7), range(1, 7), range(1, 4), range(1, 7)
+            ):
+                deg_g = Fraction(s_inner, n)
+                new_bound = m_outer * deg_g
+                old_sq = size_y * Fraction(s_outer, size_y) * deg_g**2
+                new_holds = Fraction(s_comp, n) <= new_bound
+                want = (new_holds, new_holds and new_bound**2 <= old_sq)
+                assert _bounds_hold(s_comp, s_outer, m_outer, s_inner) == want
+
+    def test_sweep_counts(self):
+        for n in (1, 2, 3):
+            fns = list(enumerate_functions(n, n))
+            assert sweep_endofunction_pairs(fns) == (n ** (2 * n), 0, 0)
+
+    def test_sweep_requires_endofunctions(self):
+        with pytest.raises(SizeMismatchError):
+            sweep_endofunction_pairs(
+                [identity_function(2), make_function(2, 3, [0, 2])]
+            )

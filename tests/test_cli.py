@@ -125,6 +125,17 @@ class TestVerify:
             "chain-multinomial",
         }
 
+    @pytest.mark.parametrize("argv", [
+        ("chain", "--sizes", "100000,100000,2"),
+        ("degq", "--n", "100000", "--m", "100000", "--qmax", "1"),
+        ("chain", "--sizes", "11,11,11"),
+        ("chain", "--sizes", "1000,1000,3"),
+    ])
+    def test_refusals_exit_2(self, capsys, argv):
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert "budget is 1000000" in err and len(err) < 200
+
     def test_degq(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "degq", "--n", "3", "--m", "3", "--qmax", "5"
@@ -189,6 +200,17 @@ class TestBounds:
     def test_missing_arguments(self, capsys):
         code, _, err = invoke(capsys, "bounds")
         assert code == 2
+
+    def test_exhaustive_budget(self, capsys):
+        # 5^10 pairs: refused before any function is enumerated
+        code, out, err = invoke(capsys, "bounds", "--exhaustive", "--n", "5")
+        assert code == 2 and out == ""
+        assert "needs 9765625 enumerated objects" in err
+
+    def test_exhaustive_size_guard(self, capsys):
+        for n in ("0", "-1"):
+            code, _, err = invoke(capsys, "bounds", "--exhaustive", "--n", n)
+            assert code == 2 and "--n must be >= 1" in err
 
 
 class TestSimulate:

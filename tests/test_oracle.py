@@ -1,5 +1,6 @@
 """Enumeration and multinomial-sum oracles: counts, order, agreement."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 
 from noninv import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     ChainSpec,
     EnumerationBudget,
@@ -24,6 +26,7 @@ from noninv import (
     multinomial_power_sum,
     weak_compositions,
 )
+from noninv.oracle import _count_weak_compositions, _nested_sum_work
 
 
 class TestEnumerateFunctions:
@@ -138,6 +141,108 @@ class TestThreePathAgreement:
             assert multinomial_expected_degree_chain(spec) == closed
 
 
+def reference_chain_expectation(sizes):
+    """Plain enumeration of every function tuple, with no memo: the
+    reference the memoized and pruned paths must match exactly."""
+    levels = [
+        list(product(range(sizes[s + 1]), repeat=sizes[s]))
+        for s in range(len(sizes) - 1)
+    ]
+    total = 0
+    tuples = 0
+    for fs in product(*levels):
+        g = range(sizes[0])
+        for f in fs:
+            g = [f[x] for x in g]
+        total += sum(c * c for c in Counter(g).values())
+        tuples += 1
+    return Fraction(total, sizes[0] * tuples)
+
+
+class TestDifferentialGrid:
+    GRID = [
+        sizes
+        for length in (2, 3, 4)
+        for sizes in product(range(1, 4), repeat=length)
+    ] + [(4, 4, 4), (2, 4, 3), (4, 3, 2), (3, 4, 4), (4, 1, 4), (1, 4, 2, 4)]
+
+    def test_all_paths_match_reference(self):
+        for sizes in self.GRID:
+            spec = ChainSpec(sizes)
+            want = reference_chain_expectation(sizes)
+            assert brute_expected_degree_chain(spec) == want, sizes
+            assert multinomial_expected_degree_chain(spec) == want, sizes
+            assert expected_degree_chain(spec) == want, sizes
+
+
+class TestBudgetCounts:
+    """Refusals come from counting, never from running the large case."""
+
+    def test_huge_count_message_is_bounded(self):
+        for call in (
+            lambda: brute_expected_degree_chain(
+                ChainSpec((100000, 100000, 2))
+            ),
+            lambda: brute_expected_degree_q(100000, 100000, 1),
+            lambda: multinomial_power_sum(100000, 100000, 1),
+            lambda: DEFAULT_BUDGET.check(10**5000, "a huge count"),
+        ):
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            assert "needs more than 1000000 enumerated objects" in str(
+                info.value
+            )
+            assert len(str(info.value)) < 200
+
+    def test_moderate_count_message_is_exact(self):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_expected_degree_chain(ChainSpec((8, 8, 8)))
+        assert "needs 281474976710656 enumerated objects" in str(info.value)
+
+    def test_budget_past_the_exact_ceiling(self):
+        budget = EnumerationBudget(10**120)
+        budget.check_powers([(10, 60), (10, 60)], "x")
+        with pytest.raises(BudgetExceededError):
+            budget.check_powers([(10, 60), (10, 61)], "x")
+
+    def test_nested_sum_counts_supported_compositions(self):
+        # top level C(15, 7) = 6435 plus, per partition of 8, the
+        # compositions of 8 supported on its parts
+        assert _nested_sum_work((8, 8, 8), 10**6) == 21019
+        assert _nested_sum_work((10, 10, 10), 10**6) == 316614
+        for sizes in [(11, 11, 11), (12, 12, 12), (1000, 1000, 3)]:
+            assert _nested_sum_work(sizes, 10**6) is None
+
+    def test_nested_sum_budget_boundary(self):
+        spec = ChainSpec((8, 8, 8))
+        assert multinomial_expected_degree_chain(
+            spec, EnumerationBudget(21019)
+        ) == Fraction(169, 64)
+        with pytest.raises(BudgetExceededError):
+            multinomial_expected_degree_chain(spec, EnumerationBudget(21018))
+
+    def test_nested_sum_refusals(self):
+        for sizes in [(11, 11, 11), (12, 12, 12), (1000, 1000, 3)]:
+            with pytest.raises(BudgetExceededError):
+                multinomial_expected_degree_chain(ChainSpec(sizes))
+
+    def test_key_length_bound_uses_every_later_size(self):
+        # a 1-set in the middle leaves one nonzero fiber below it
+        assert _nested_sum_work((8, 8, 1, 8), 10**6) == 8 + 1 + 1
+
+    def test_weak_composition_count_stops_at_the_limit(self):
+        for total in range(6):
+            for parts in range(1, 6):
+                want = count_weak_compositions(total, parts)
+                assert _count_weak_compositions(total, parts, want) == want
+                if want > 1:
+                    assert (
+                        _count_weak_compositions(total, parts, want - 1)
+                        is None
+                    )
+        assert _count_weak_compositions(10**9, 10**9, 10**6) is None
+
+
 class TestBruteDegreeQ:
     def test_frozen(self):
         assert brute_expected_degree_q(2, 2, 3) == Fraction(5, 2)
@@ -151,6 +256,21 @@ class TestBruteDegreeQ:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             brute_expected_degree_q(10, 10, 2, EnumerationBudget(10**4))
+
+    def test_matches_closed_form(self):
+        for n in range(1, 6):
+            for m in range(1, 6):
+                for q in range(1, 9):
+                    assert brute_expected_degree_q(n, m, q) == (
+                        expected_degree_q(n, m, q)
+                    )
+
+    def test_budget_checked_on_every_call(self):
+        # the first call fills the histogram cache; a later call with a
+        # smaller budget is still refused
+        brute_expected_degree_q(3, 4, 2)
+        with pytest.raises(BudgetExceededError):
+            brute_expected_degree_q(3, 4, 3, EnumerationBudget(63))
 
 
 class TestMultinomialPowerSum:
