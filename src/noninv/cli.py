@@ -53,23 +53,11 @@ __all__ = ["run", "main"]
 # formatting helpers
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _frac_decimal(x: Fraction, places: int) -> str:
-    """Exact decimal expansion to ``places`` digits, round half away."""
+    """Exact decimal expansion to ``places`` >= 1 digits, round half away."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     num, den = abs(x.numerator), x.denominator
-    if places <= 0:
-        scaled, rem = divmod(num, den)
-        if 2 * rem >= den:
-            scaled += 1
-        return sign + str(scaled)
     scaled, rem = divmod(num * 10**places, den)
     if 2 * rem >= den:
         scaled += 1
@@ -97,8 +85,8 @@ def _report_json(check: str, report: VerificationReport) -> dict:
 def _report_line(check: str, report: VerificationReport) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.parameters.items())
     return (
-        f"check={check} {params} oracle={_frac_str(report.oracle_value)} "
-        f"closed={_frac_str(report.closed_value)} "
+        f"check={check} {params} oracle={report.oracle_value} "
+        f"closed={report.closed_value} "
         f"match={'true' if report.match else 'false'}"
     )
 
@@ -119,22 +107,22 @@ def _emit_envelope(args, parameters: dict, results: list,
             print(line)
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise NoninvError(
-            f"sizes must be comma-separated integers, got {text!r}"
-        ) from None
-    return sizes
+def _emit_value(args, parameters: dict, result: dict, value) -> int:
+    """Envelope of a command with one exact value; its text line is the
+    reduced rational and, with ``--decimals K``, its expansion."""
+    text = str(value)
+    if args.decimals:
+        text += f" ({_frac_decimal(value, args.decimals)})"
+    _emit_envelope(args, parameters, [result], [text], None)
+    return 0
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise NoninvError(
-            f"parts must be comma-separated integers, got {text!r}"
+            f"{what} must be comma-separated integers, got {text!r}"
         ) from None
 
 
@@ -145,56 +133,39 @@ def _parse_parts(text: str) -> tuple[int, ...]:
 def _cmd_deg(args) -> int:
     f = load_function(args.file)
     value = f.degree_q(args.q)
-    text = _frac_str(value)
-    if args.decimals:
-        text += f" ({_frac_decimal(value, args.decimals)})"
-    _emit_envelope(
+    return _emit_value(
         args,
         {"file": args.file, "q": args.q},
-        [
-            {
-                "domain": f.domain_size,
-                "codomain": f.codomain_size,
-                "q": args.q,
-                "degree": _frac_json(value, args.decimals),
-                "max_fiber": f.max_fiber(),
-            }
-        ],
-        [text],
-        None,
+        {
+            "domain": f.domain_size,
+            "codomain": f.codomain_size,
+            "q": args.q,
+            "degree": _frac_json(value, args.decimals),
+            "max_fiber": f.max_fiber(),
+        },
+        value,
     )
-    return 0
 
 
 def _cmd_expected(args) -> int:
-    spec = ChainSpec(_parse_sizes(args.sizes))
+    spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     value = expected_degree_chain(spec)
-    text = _frac_str(value)
-    if args.decimals:
-        text += f" ({_frac_decimal(value, args.decimals)})"
-    _emit_envelope(
+    return _emit_value(
         args,
         {"sizes": list(spec.sizes)},
-        [{"expected_degree": _frac_json(value, args.decimals)}],
-        [text],
-        None,
+        {"expected_degree": _frac_json(value, args.decimals)},
+        value,
     )
-    return 0
 
 
 def _cmd_expected_q(args) -> int:
     value = expected_degree_q(args.n, args.m, args.q)
-    text = _frac_str(value)
-    if args.decimals:
-        text += f" ({_frac_decimal(value, args.decimals)})"
-    _emit_envelope(
+    return _emit_value(
         args,
         {"n": args.n, "m": args.m, "q": args.q},
-        [{"expected_degree_q": _frac_json(value, args.decimals)}],
-        [text],
-        None,
+        {"expected_degree_q": _frac_json(value, args.decimals)},
+        value,
     )
-    return 0
 
 
 def _finish_verify(args, parameters, named_reports, skipped) -> int:
@@ -209,7 +180,7 @@ def _finish_verify(args, parameters, named_reports, skipped) -> int:
 
 
 def _cmd_verify_chain(args) -> int:
-    spec = ChainSpec(_parse_sizes(args.sizes))
+    spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     budget = EnumerationBudget(args.budget)
     closed = expected_degree_chain(spec)
     params = {"sizes": ",".join(str(s) for s in spec.sizes)}
@@ -268,7 +239,7 @@ def _cmd_verify_degq(args) -> int:
 
 
 def _cmd_verify_en(args) -> int:
-    parts = _parse_parts(args.parts)
+    parts = _parse_ints(args.parts, "parts")
     report = check_square_moment_identity(args.m, parts)
     return _finish_verify(
         args,
@@ -322,9 +293,9 @@ def _bound_report_json(report) -> dict:
 def _bound_report_line(label: str, report) -> str:
     new_sq, old_sq = report.old_bound_squared_scaled
     return (
-        f"{label} deg_composition={_frac_str(report.deg_composition)} "
-        f"new_bound={_frac_str(report.new_bound)} "
-        f"new_bound_sq={_frac_str(new_sq)} old_bound_sq={_frac_str(old_sq)} "
+        f"{label} deg_composition={report.deg_composition} "
+        f"new_bound={report.new_bound} "
+        f"new_bound_sq={new_sq} old_bound_sq={old_sq} "
         f"new_holds={'true' if report.new_holds else 'false'} "
         f"chain_holds={'true' if report.chain_holds else 'false'}"
     )
@@ -383,7 +354,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_stirling(args) -> int:
     if args.transform is not None:
-        seq = list(_parse_parts(args.transform))
+        seq = list(_parse_ints(args.transform, "parts"))
         out = stirling_transform(seq)
         _emit_envelope(
             args,
@@ -433,10 +404,9 @@ def _estimate_json(report) -> dict:
 
 
 def _cmd_simulate_chain(args) -> int:
-    spec = ChainSpec(_parse_sizes(args.sizes))
+    spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     config = SamplerConfig(seed=args.seed, samples=args.samples, sizes=spec)
-    report = estimate_expected_degree_chain(config, threads=args.threads)
-    closed = _frac_str(report.closed_form)
+    report = estimate_expected_degree_chain(config)
     z = "none" if report.z_score is None else repr(report.z_score)
     _emit_envelope(
         args,
@@ -448,7 +418,7 @@ def _cmd_simulate_chain(args) -> int:
         [_estimate_json(report)],
         [
             f"mean={report.mean!r} std_error={report.std_error!r} "
-            f"closed={closed} z={z} samples={report.samples} "
+            f"closed={report.closed_form} z={z} samples={report.samples} "
             f"seed={report.seed}"
         ],
         None,
@@ -458,7 +428,7 @@ def _cmd_simulate_chain(args) -> int:
 
 def _cmd_simulate_maxfiber(args) -> int:
     config = SamplerConfig(seed=args.seed, samples=args.samples)
-    report = estimate_max_fiber_mean(args.n, config, threads=args.threads)
+    report = estimate_max_fiber_mean(args.n, config)
     _emit_envelope(
         args,
         {"n": args.n, "samples": args.samples, "seed": args.seed},
@@ -477,12 +447,31 @@ def _cmd_simulate_maxfiber(args) -> int:
 # parser
 
 
-def _add_common(parser, decimals=False):
+def _int_at_least(minimum: int):
+    """argparse type for an integer option that refuses values below
+    ``minimum`` (exit code 2, like every usage error)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _add_common(parser, decimals=False, budget=False):
+    if budget:
+        parser.add_argument("--budget", type=int,
+                            default=DEFAULT_BUDGET.max_states)
     parser.add_argument("--json", action="store_true",
                         help="emit a single JSON document")
     if decimals:
         parser.add_argument(
-            "--decimals", type=int, default=0, metavar="K",
+            "--decimals", type=_int_at_least(0), default=0, metavar="K",
             help="also print a K-digit decimal approximation",
         )
 
@@ -526,16 +515,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("chain", help="chain expectation, three paths")
     p.add_argument("--sizes", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_states)
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(handler=_cmd_verify_chain, command_path="verify chain")
 
     p = vsub.add_parser("degq", help="generalized-degree expectation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--qmax", type=int, default=6)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_states)
-    _add_common(p)
+    p.add_argument("--qmax", type=_int_at_least(1), default=6)
+    _add_common(p, budget=True)
     p.set_defaults(handler=_cmd_verify_degq, command_path="verify degq")
 
     p = vsub.add_parser("en", help="square-moment multinomial identity")
@@ -547,10 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("corollary",
                         help="Stirling identity sweep and power-sum form")
-    p.add_argument("--qmax", type=int, default=30)
-    p.add_argument("--nmax", type=int, default=5)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET.max_states)
-    _add_common(p)
+    p.add_argument("--qmax", type=_int_at_least(1), default=30)
+    p.add_argument("--nmax", type=_int_at_least(0), default=5)
+    _add_common(p, budget=True)
     p.set_defaults(handler=_cmd_verify_corollary,
                    command_path="verify corollary")
 
@@ -558,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print Stirling triangles or a transform")
     p.add_argument("--kind", choices=["second", "first", "first-signed"],
                    default="second")
-    p.add_argument("--rows", type=int, default=10)
+    p.add_argument("--rows", type=_int_at_least(0), default=10)
     p.add_argument("--transform", default=None,
                    help="comma-separated sequence to transform")
     _add_common(p)
@@ -582,7 +568,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate_chain,
                    command_path="simulate chain")
@@ -592,7 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(handler=_cmd_simulate_maxfiber,
                    command_path="simulate maxfiber")

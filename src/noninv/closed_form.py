@@ -147,6 +147,14 @@ def closed_multinomial_power_sum(n: int, m: int, q: int) -> int:
     return value.numerator
 
 
+def _stirling_inner_sum(q: int, k: int) -> int:
+    """sum_{j=1..q-k} {q brace k+j} [k+j brack j]."""
+    return sum(
+        stirling2(q, k + j) * stirling1_unsigned(k + j, j)
+        for j in range(1, q - k + 1)
+    )
+
+
 def stirling_identity_sum(q: int) -> int:
     """sum_{k=0..q-1} (-1)^k sum_{j=1..q-k} {q brace k+j} [k+j brack j].
 
@@ -156,14 +164,7 @@ def stirling_identity_sum(q: int) -> int:
     """
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    return sum(
-        (-1) ** k
-        * sum(
-            stirling2(q, k + j) * stirling1_unsigned(k + j, j)
-            for j in range(1, q - k + 1)
-        )
-        for k in range(q)
-    )
+    return sum((-1) ** k * _stirling_inner_sum(q, k) for k in range(q))
 
 
 def power_sum_stirling_form(n: int, q: int) -> int:
@@ -179,12 +180,7 @@ def power_sum_stirling_form(n: int, q: int) -> int:
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
     total = sum(
-        (-1) ** k
-        * sum(
-            stirling2(q, k + j) * stirling1_unsigned(k + j, j)
-            for j in range(1, q - k + 1)
-        )
-        * n ** (q - k - 1)
+        (-1) ** k * _stirling_inner_sum(q, k) * n ** (q - k - 1)
         for k in range(q)
     )
     value = Fraction(n) ** (n - (q - 2)) * total

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptySetError,
@@ -29,6 +29,7 @@ from .errors import (
 
 __all__ = [
     "FiniteFunction",
+    "fiber_sizes",
     "make_function",
     "compose",
     "identity_function",
@@ -39,6 +40,19 @@ __all__ = [
     "format_function_text",
     "function_to_json",
 ]
+
+
+def fiber_sizes(images: Iterable[int], codomain_size: int) -> list[int]:
+    """Fiber sizes |f^-1(y)| for y = 0..codomain_size-1 of the map with
+    these (zero-based, in-range) images."""
+    counts = [0] * codomain_size
+    for y in images:
+        counts[y] += 1
+    return counts
+
+
+def _square_sum(values: Iterable[int]) -> int:
+    return sum(v * v for v in values)
 
 
 @dataclass(frozen=True)
@@ -78,16 +92,11 @@ class FiniteFunction:
 
     def fiber_sizes(self) -> tuple[int, ...]:
         """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|."""
-        counts = [0] * self.codomain_size
-        for y in self.images:
-            counts[y] += 1
-        return tuple(counts)
+        return tuple(fiber_sizes(self.images, self.codomain_size))
 
     def degree(self) -> Fraction:
         """deg(f) = (1/|X|) * sum_y |f^-1(y)|^2, as a reduced rational."""
-        return Fraction(
-            sum(c * c for c in self.fiber_sizes()), self.domain_size
-        )
+        return Fraction(_square_sum(self.fiber_sizes()), self.domain_size)
 
     def degree_q(self, q: int) -> Fraction:
         """Generalized degree (1/|X|) * sum_y |f^-1(y)|^q for q >= 1.

@@ -13,10 +13,12 @@ floor(2^64 / bound) * bound are discarded), so there is no modulo bias.
 
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i uses
 its own SplitMix64 stream whose initial state is the i-th output word of
-a SplitMix64 stream seeded with the master seed.  Per-block partial sums
-are exact integers merged in block order, so the result is bit-for-bit
-identical no matter how many worker threads run the blocks.  The block
-size is part of the stream contract: changing it changes the report.
+a SplitMix64 stream seeded with the master seed.  SplitMix64 is
+counter-based, so block i's stream depends only on (seed, i): blocks are
+independent of each other and of the order they run in.  Per-block
+partial sums are exact integers, so their total is the same in any
+order.  The block size is part of the stream contract: changing it
+changes the report.
 
 All reference values stay exact rationals; floats appear only in the
 reported mean, standard error and z-score.
@@ -25,14 +27,13 @@ reported mean, standard error and z-score.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .closed_form import ChainSpec, expected_degree_chain, expected_degree_iterate
 from .errors import InvalidSizeError
-from .functions import FiniteFunction
+from .functions import FiniteFunction, _square_sum, fiber_sizes
 
 __all__ = [
     "SplitMix64",
@@ -77,11 +78,28 @@ class SplitMix64:
         """Uniform integer in [0, bound) via rejection (no modulo bias)."""
         if bound < 1:
             raise InvalidSizeError(f"bound must be >= 1, got {bound}")
-        threshold = ((1 << 64) // bound) * bound
+        self._state, (value,) = _draw(self._state, bound, 1)
+        return value
+
+
+def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
+    """``count`` uniform integers in [0, bound) by rejection, drawn from
+    the SplitMix64 stream at ``state``; returns the advanced state and
+    the draws.  The one rejection loop of the module: every sampler
+    calls it, so all of them consume the stream word for word alike."""
+    threshold = ((1 << 64) // bound) * bound
+    draws = [0] * count
+    for i in range(count):
         while True:
-            word = self.next_word()
-            if word < threshold:
-                return word % bound
+            # next_word and _mix64, inlined: this loop is the sampler's cost
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < threshold:
+                draws[i] = z % bound
+                break
+    return state, draws
 
 
 def derived_stream(seed: int, index: int) -> SplitMix64:
@@ -129,9 +147,11 @@ class EstimateReport:
 
 def sample_function(n: int, m: int, stream: SplitMix64) -> FiniteFunction:
     """Uniform random function: each image independent uniform on [0, m)."""
-    return FiniteFunction(
-        n, m, tuple(stream.randbelow(m) for _ in range(n))
-    )
+    if n >= 1 and m < 1:
+        # refused as the first randbelow(m) would be
+        raise InvalidSizeError(f"bound must be >= 1, got {m}")
+    stream._state, images = _draw(stream._state, m, n)
+    return FiniteFunction(n, m, tuple(images))
 
 
 def _chain_block(
@@ -139,38 +159,18 @@ def _chain_block(
 ) -> tuple[int, int]:
     """Sum and square-sum of the fiber-square statistic over one block.
 
-    Inlines the SplitMix64 step for speed; draws are word-for-word the
-    same as ``sample_function`` on ``derived_stream(seed, block)`` (the
-    test suite pins this equivalence).
+    Draws word-for-word what ``sample_function`` draws from
+    ``derived_stream(seed, block)`` (the test suite pins this).
     """
-    t = len(sizes) - 1
-    n1 = sizes[0]
     state = derived_stream(seed, block)._state
     total = 0
     total_sq = 0
-    thresholds = [
-        ((1 << 64) // cod) * cod for cod in sizes[1:]
-    ]
     for _ in range(count):
-        g = list(range(n1))
-        for s in range(t):
-            dom, cod = sizes[s], sizes[s + 1]
-            threshold = thresholds[s]
-            f = [0] * dom
-            for i in range(dom):
-                while True:
-                    state = (state + _GAMMA) & _MASK64
-                    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                    z ^= z >> 31
-                    if z < threshold:
-                        f[i] = z % cod
-                        break
+        state, g = _draw(state, sizes[1], sizes[0])
+        for dom, cod in zip(sizes[1:-1], sizes[2:]):
+            state, f = _draw(state, cod, dom)
             g = [f[x] for x in g]
-        counts = [0] * sizes[t]
-        for y in g:
-            counts[y] += 1
-        s_val = sum(c * c for c in counts)
+        s_val = _square_sum(fiber_sizes(g, sizes[-1]))
         total += s_val
         total_sq += s_val * s_val
     return total, total_sq
@@ -180,44 +180,28 @@ def _maxfiber_block(
     n: int, seed: int, block: int, count: int
 ) -> tuple[int, int]:
     state = derived_stream(seed, block)._state
-    threshold = ((1 << 64) // n) * n
     total = 0
     total_sq = 0
     for _ in range(count):
-        counts = [0] * n
-        for _ in range(n):
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z < threshold:
-                    counts[z % n] += 1
-                    break
-        m_val = max(counts)
+        state, images = _draw(state, n, n)
+        m_val = max(fiber_sizes(images, n))
         total += m_val
         total_sq += m_val * m_val
     return total, total_sq
 
 
 def _run_blocks(
-    block_fn: Callable[[int, int], tuple[int, int]],
-    samples: int,
-    threads: int,
+    block_fn: Callable[[int, int], tuple[int, int]], samples: int
 ) -> tuple[int, int]:
-    blocks = [
-        (b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES))
-        for b in range((samples + BLOCK_SAMPLES - 1) // BLOCK_SAMPLES)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda bc: block_fn(bc[0], bc[1]), blocks)
-            )
-    else:
-        results = [block_fn(b, c) for b, c in blocks]
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
+    """Totals of ``block_fn(block, count)`` over the blocks in order."""
+    total = 0
+    total_sq = 0
+    for b in range((samples + BLOCK_SAMPLES - 1) // BLOCK_SAMPLES):
+        block_sum, block_sq = block_fn(
+            b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES)
+        )
+        total += block_sum
+        total_sq += block_sq
     return total, total_sq
 
 
@@ -235,9 +219,7 @@ def _mean_and_error(
     return mean, math.sqrt(var / samples)
 
 
-def estimate_expected_degree_chain(
-    config: SamplerConfig, threads: int = 1
-) -> EstimateReport:
+def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
     """Sample random function chains and average the composition degree.
 
     The report carries the exact closed-form expectation and the z-score
@@ -249,7 +231,6 @@ def estimate_expected_degree_chain(
     total, total_sq = _run_blocks(
         lambda b, c: _chain_block(sizes, config.seed, b, c),
         config.samples,
-        threads,
     )
     mean, std_error = _mean_and_error(
         total, total_sq, config.samples, sizes[0]
@@ -266,9 +247,7 @@ def estimate_expected_degree_chain(
     )
 
 
-def estimate_max_fiber_mean(
-    n: int, config: SamplerConfig, threads: int = 1
-) -> EstimateReport:
+def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
     """Estimate E[max fiber] over uniform random endofunctions of an n-set.
 
     No closed form is attached; the report records the ratio of the mean
@@ -283,7 +262,6 @@ def estimate_max_fiber_mean(
     total, total_sq = _run_blocks(
         lambda b, c: _maxfiber_block(n, config.seed, b, c),
         config.samples,
-        threads,
     )
     mean, std_error = _mean_and_error(total, total_sq, config.samples, 1)
     ratio = float(mean) / (math.log(n) / math.log(math.log(n)))

@@ -19,12 +19,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+)
 
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
 from .errors import BudgetExceededError, InvalidExponentError, InvalidSizeError
-from .functions import FiniteFunction
+from .functions import FiniteFunction, _square_sum, fiber_sizes
 
 __all__ = [
     "EnumerationBudget",
@@ -165,27 +167,48 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of ``total`` into ``parts`` nonnegative parts.
 
     Colexicographic order (last coordinate varies slowest); the order is
-    fixed only so that streamed output is reproducible.
+    fixed only so that streamed output is reproducible.  Iterative, so
+    any number of parts works: the successor of k moves one unit from
+    its first nonzero part k_i to k_{i+1} and the rest of k_i to k_1.
     """
     if parts < 1:
         raise InvalidSizeError(f"parts must be >= 1, got {parts}")
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in weak_compositions(total - last, parts - 1):
-            yield rest + (last,)
+    k = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(k)
+        i = 0
+        while i < parts - 1 and k[i] == 0:
+            i += 1
+        if i == parts - 1:
+            return
+        rest = k[i] - 1
+        k[i] = 0
+        k[i + 1] += 1
+        k[0] = rest
 
 
 def count_weak_compositions(total: int, parts: int) -> int:
     return comb(total + parts - 1, parts - 1)
 
 
-def _fiber_square_sum(images: Sequence[int], codomain_size: int) -> int:
-    counts = [0] * codomain_size
-    for y in images:
-        counts[y] += 1
-    return sum(c * c for c in counts)
+def _weighted_composition_sum(
+    total: int,
+    bases: Sequence[int],
+    term: Callable[[tuple[int, ...]], int],
+) -> int:
+    """sum over weak compositions k of ``total`` into len(bases) parts of
+    multinomial(total; k) * prod_i bases_i^k_i * term(k), with 0^0 = 1.
+
+    multinomial(total; k) prod_i b_i^k_i counts the functions from a
+    ``total``-set into blocks of sizes b_i with k_i points in block i.
+    """
+    acc = 0
+    for k in weak_compositions(total, len(bases)):
+        weight = multinomial(total, k)
+        for b, ki in zip(bases, k):
+            weight *= b**ki
+        acc += weight * term(k)
+    return acc
 
 
 def _kernel(g: Sequence[int]) -> tuple[int, ...]:
@@ -200,16 +223,15 @@ def brute_expected_degree_chain(
 ) -> Fraction:
     """Exact average of deg(f_t o ... o f_1) over all function tuples.
 
-    Enumerates the tuples as a tree: a node at level s is the partial
-    composition g: X_1 -> X_{s+1}, and its tail sum adds the fiber square
-    sums of f_t o ... o f_{s+1} o g over all choices of f_{s+1}..f_t.
-    The tail sum is memoized on (s, kernel of g).  This is exact: for a
-    bijection pi of X_{s+1}, f -> f o pi^-1 permutes the functions of the
-    next level, so pi o g and g have the same tail sum, and two maps with
-    the same kernel differ by such a pi.  Each level enumerates all of
-    its functions once per distinct key; the leaf level is summed
-    directly.  Memory is the memo: at most one entry per set partition
-    of X_1 per level.
+    Runs level by level over the partial compositions g: X_1 -> X_{s+1},
+    keeping only how many tuples (f_1, ..., f_s) reach each kernel of g.
+    This is exact: for a bijection pi of X_{s+1}, f -> f o pi^-1
+    permutes the functions of the next level, so pi o g and g lead to
+    the same multiset of kernels and the same fiber square sums, and two
+    maps with the same kernel differ by such a pi.  Each level
+    enumerates all of its functions once per distinct kernel; the last
+    level adds fiber square sums directly.  Memory is one level's
+    counts: at most one entry per set partition of X_1.
 
     The budget counts the tuples a memo-free enumeration would visit,
     ``spec.tuple_count()``.
@@ -220,22 +242,23 @@ def brute_expected_degree_chain(
         [(sizes[s + 1], sizes[s]) for s in range(t)],
         f"chain enumeration for {sizes}",
     )
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def tail(level: int, g: tuple[int, ...]) -> int:
-        if level == t:
-            return _fiber_square_sum(g, sizes[t])
-        key = (level, _kernel(g))
-        if key not in memo:
-            dom, cod = sizes[level], sizes[level + 1]
-            memo[key] = sum(
-                tail(level + 1, tuple(f[x] for x in g))
-                for f in product(range(cod), repeat=dom)
-            )
-        return memo[key]
-
     n1 = sizes[0]
-    return Fraction(tail(0, tuple(range(n1))), n1 * spec.tuple_count())
+    kernels: Counter[tuple[int, ...]] = Counter({tuple(range(n1)): 1})
+    for level in range(t - 1):
+        dom, cod = sizes[level], sizes[level + 1]
+        reached: Counter[tuple[int, ...]] = Counter()
+        for g, tuples in kernels.items():
+            for f in product(range(cod), repeat=dom):
+                reached[_kernel([f[x] for x in g])] += tuples
+        kernels = reached
+    dom, cod = sizes[t - 1], sizes[t]
+    total = sum(
+        tuples
+        * _square_sum(fiber_sizes([f[x] for x in g], sizes[t]))
+        for g, tuples in kernels.items()
+        for f in product(range(cod), repeat=dom)
+    )
+    return Fraction(total, n1 * spec.tuple_count())
 
 
 def _profile(k: Sequence[int]) -> tuple[int, ...]:
@@ -302,46 +325,29 @@ def multinomial_expected_degree_chain(
     level carries sum_i k_{1,i}^2.  The top level sums over all weak
     compositions of n_t into n_{t+1} parts.
 
-    Each lower level is summed once per memo key, the sorted nonzero
-    parts of k_{s+1}: the level sum is symmetric in k_{s+1}, and a zero
-    part forces k_{s,i} = 0 (0^k = 0 for k >= 1), so only compositions
-    supported on the nonzero parts are visited.  The budget counts those
-    compositions up front, bounding the keys of level s by the partitions
-    of n_{s+1} (see ``_nested_sum_work``).
+    Each lower level is summed once per key, the sorted nonzero parts of
+    k_{s+1}: the level sum is symmetric in k_{s+1}, and a zero part
+    forces k_{s,i} = 0 (0^k = 0 for k >= 1), so only compositions
+    supported on the nonzero parts are visited.  The levels are summed
+    bottom-up.  The keys of level s are the partitions of n_{s+1} with
+    at most min(n_{s+1}, ..., n_{t+1}) parts, and the level above reaches
+    every one of them; ``_nested_sum_work`` counts the same compositions
+    up front for the budget.
     """
     sizes = spec.sizes
     t = spec.t
-    parts = sizes[-1]
     budget.check(
         _nested_sum_work(sizes, budget.max_states),
         f"nested-sum oracle for {sizes}",
     )
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def level_sum(s: int, k_next: tuple[int, ...]) -> int:
-        # sum over profiles at 1-based level s, given level s+1's profile
-        key = (s, k_next)
-        if key in memo:
-            return memo[key]
-        acc = 0
-        for k in weak_compositions(sizes[s - 1], len(k_next)):
-            weight = multinomial(sizes[s - 1], k)
-            for ki, ni in zip(k, k_next):
-                weight *= ni**ki
-            if s == 1:
-                acc += weight * sum(ki * ki for ki in k)
-            else:
-                acc += weight * level_sum(s - 1, _profile(k))
-        memo[key] = acc
-        return acc
-
-    total = 0
-    for k_top in weak_compositions(sizes[t - 1], parts):
-        weight = multinomial(sizes[t - 1], k_top)
-        if t == 1:
-            total += weight * sum(ki * ki for ki in k_top)
-        else:
-            total += weight * level_sum(t - 1, _profile(k_top))
+    term: Callable[[tuple[int, ...]], int] = _square_sum
+    for s in range(1, t):
+        sums = {
+            key: _weighted_composition_sum(sizes[s - 1], key, term)
+            for key in _partitions(sizes[s], min(sizes[s:]), sizes[s])
+        }
+        term = lambda k, sums=sums: sums[_profile(k)]
+    total = _weighted_composition_sum(sizes[t - 1], (1,) * sizes[t], term)
     return Fraction(total, sizes[0] * spec.tuple_count())
 
 
@@ -352,10 +358,7 @@ def _fiber_profile_histogram(
     """(sorted fiber sizes, number of functions) over all m^n functions."""
     histogram: Counter[tuple[int, ...]] = Counter()
     for images in product(range(m), repeat=n):
-        counts = [0] * m
-        for y in images:
-            counts[y] += 1
-        histogram[tuple(sorted(counts))] += 1
+        histogram[tuple(sorted(fiber_sizes(images, m)))] += 1
     return tuple(histogram.items())
 
 
@@ -397,10 +400,9 @@ def multinomial_power_sum(
         _count_weak_compositions(n, m, budget._ceiling),
         f"weak compositions of {n} into {m} parts",
     )
-    total = 0
-    for k in weak_compositions(n, m):
-        total += multinomial(n, k) * sum(ki**q for ki in k)
-    return total
+    return _weighted_composition_sum(
+        n, (1,) * m, lambda k: sum(ki**q for ki in k)
+    )
 
 
 def check_square_moment_identity(
@@ -413,6 +415,9 @@ def check_square_moment_identity(
     m(m-1) r^(m-2) sum_i k_i^2 + m r^m with r = sum_i k_i.  The scalar
     m(m-1) is evaluated first and short-circuits the first term, so
     r^(m-2) is never formed with a negative exponent when m = 1.
+
+    The left side's compositions are counted against ``DEFAULT_BUDGET``
+    before any is summed.
     """
     if m < 1:
         raise InvalidSizeError(f"m must be >= 1, got {m}")
@@ -423,16 +428,14 @@ def check_square_moment_identity(
         raise InvalidSizeError(f"k_parts must be >= 0, got {parts}")
     n = len(parts)
     r = sum(parts)
-
-    lhs = 0
-    for l in weak_compositions(m, n):
-        weight = multinomial(m, l)
-        for ki, li in zip(parts, l):
-            weight *= ki**li
-        lhs += weight * sum(li * li for li in l)
+    DEFAULT_BUDGET.check(
+        _count_weak_compositions(m, n, DEFAULT_BUDGET._ceiling),
+        f"weak compositions of {m} into {n} parts",
+    )
+    lhs = _weighted_composition_sum(m, parts, _square_sum)
 
     lead = m * (m - 1)
-    first = lead * r ** (m - 2) * sum(k * k for k in parts) if lead else 0
+    first = lead * r ** (m - 2) * _square_sum(parts) if lead else 0
     rhs = first + m * r**m
 
     return VerificationReport.compare(

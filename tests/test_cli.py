@@ -130,11 +130,64 @@ class TestVerify:
         ("degq", "--n", "100000", "--m", "100000", "--qmax", "1"),
         ("chain", "--sizes", "11,11,11"),
         ("chain", "--sizes", "1000,1000,3"),
+        ("en", "--m", "30", "--parts", ",".join(["1"] * 30)),
     ])
     def test_refusals_exit_2(self, capsys, argv):
         code, out, err = invoke(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert "budget is 1000000" in err and len(err) < 200
+
+    def test_long_chain_of_ones(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "chain", "--sizes", ",".join(["1"] * 1200),
+            "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_match"] is True
+        assert [r["check"] for r in doc["results"]] == [
+            "chain-enumeration",
+            "chain-multinomial",
+        ]
+
+    def test_long_chain_of_twos(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "chain", "--sizes", ",".join(["2"] * 1200),
+            "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_match"] is True
+        nested, enumeration = doc["results"]
+        assert nested["check"] == "chain-multinomial" and nested["match"]
+        assert enumeration["check"] == "chain-enumeration"
+        assert "budget is 1000000" in enumeration["skipped"]
+
+    def test_degq_many_parts(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "degq", "--n", "1", "--m", "2000", "--qmax", "1"
+        )
+        assert code == 0
+        assert out.count("match=true") == 2
+
+    def test_en_many_parts(self, capsys):
+        code, out, _ = invoke(
+            capsys, "verify", "en", "--m", "1", "--parts", ",".join(["1"] * 1500)
+        )
+        assert code == 0
+        assert "match=true" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "degq", "--n", "2", "--m", "2", "--qmax", "0"),
+        ("verify", "corollary", "--qmax", "0", "--nmax", "0"),
+        ("verify", "corollary", "--nmax", "-1"),
+        ("expected", "--sizes", "3,3", "--decimals", "-3"),
+        ("stirling", "--rows", "-1"),
+    ])
+    def test_out_of_range_counts_exit_2(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be >=" in err
 
     def test_degq(self, capsys):
         code, out, _ = invoke(

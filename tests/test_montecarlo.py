@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from noninv import (
+    BLOCK_SAMPLES,
     ChainSpec,
     InvalidSizeError,
     SamplerConfig,
@@ -19,6 +20,7 @@ from noninv import (
     expected_degree_chain,
     sample_function,
 )
+from noninv.montecarlo import _chain_block, _mean_and_error
 
 
 class TestSplitMix64:
@@ -40,6 +42,18 @@ class TestSplitMix64:
         for bound in (1, 2, 7, 50, 10**9):
             for _ in range(200):
                 assert 0 <= stream.randbelow(bound) < bound
+
+    @pytest.mark.parametrize("bound", [1, 2, 7, 10**9, 2**63 + 5])
+    def test_randbelow_matches_reference_rejection(self, bound):
+        # word-by-word rejection on next_word: same values, same state
+        stream, reference = SplitMix64(77), SplitMix64(77)
+        threshold = ((1 << 64) // bound) * bound
+        for _ in range(50):
+            word = reference.next_word()
+            while word >= threshold:
+                word = reference.next_word()
+            assert stream.randbelow(bound) == word % bound
+            assert stream._state == reference._state
 
     def test_randbelow_guard(self):
         with pytest.raises(InvalidSizeError):
@@ -91,11 +105,25 @@ class TestEstimateChain:
             config
         ) == estimate_expected_degree_chain(config)
 
-    def test_thread_count_invariance(self):
-        config = SamplerConfig(seed=11, samples=5000, sizes=ChainSpec((2, 2)))
-        single = estimate_expected_degree_chain(config, threads=1)
-        multi = estimate_expected_degree_chain(config, threads=4)
-        assert single == multi
+    def test_block_order_invariance(self):
+        # each block's stream depends only on (seed, block), so the block
+        # sums taken in reverse order add up to the same report
+        sizes, seed, samples = (2, 2), 11, 5000
+        config = SamplerConfig(seed=seed, samples=samples, sizes=ChainSpec(sizes))
+        blocks = range(-(-samples // BLOCK_SAMPLES))
+        sums = [
+            _chain_block(
+                sizes, seed, b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES)
+            )
+            for b in reversed(blocks)
+        ]
+        mean, std_error = _mean_and_error(
+            sum(s for s, _ in sums), sum(sq for _, sq in sums), samples, sizes[0]
+        )
+        report = estimate_expected_degree_chain(config)
+        assert len(sums) == 5
+        assert report.mean == float(mean)
+        assert report.std_error == std_error
 
     def test_matches_public_sampling_api(self):
         # the inlined block loop must draw word-for-word what
@@ -183,6 +211,12 @@ class TestEstimateMaxFiber:
         )
         assert report.theta_ratio is not None
         assert report.theta_ratio > 0
+
+    def test_pinned_stream(self):
+        # values of the stream contract, three blocks at seed 5
+        report = estimate_max_fiber_mean(7, SamplerConfig(seed=5, samples=3000))
+        assert report.mean == 2.5046666666666666
+        assert report.std_error == 0.011964596484693179
 
     def test_deterministic(self):
         config = SamplerConfig(seed=13, samples=1500)

@@ -69,6 +69,27 @@ class TestWeakCompositions:
         with pytest.raises(InvalidSizeError):
             list(weak_compositions(2, 0))
 
+    def test_matches_recursive_reference(self):
+        def reference(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for last in range(total + 1):
+                for rest in reference(total - last, parts - 1):
+                    yield rest + (last,)
+
+        for total in range(7):
+            for parts in range(1, 6):
+                assert list(weak_compositions(total, parts)) == list(
+                    reference(total, parts)
+                )
+
+    def test_more_parts_than_the_recursion_limit(self):
+        comps = list(weak_compositions(1, 2000))
+        assert len(comps) == 2000
+        assert comps[0] == (1,) + (0,) * 1999
+        assert comps[-1] == (0,) * 1999 + (1,)
+
 
 class TestBruteChain:
     def test_frozen(self):
@@ -336,6 +357,11 @@ class TestSquareMomentIdentity:
     def test_parameters_recorded(self):
         report = check_square_moment_identity(3, (1, 0, 2))
         assert report.parameters == {"m": 3, "n": 3, "r": 3}
+
+    def test_budget(self):
+        # C(59, 29) ~ 5.9e16 compositions: refused by counting, not run
+        with pytest.raises(BudgetExceededError, match="59132290782430712"):
+            check_square_moment_identity(30, (1,) * 30)
 
     def test_guards(self):
         with pytest.raises(InvalidSizeError):

@@ -1,0 +1,70 @@
+"""Package-wide properties: standard-library imports only, and the
+benchmark tracer still finds and wraps every layer it patches."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "noninv"
+
+
+def test_imports_are_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+@pytest.fixture(scope="module")
+def function_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("tracer")
+    outer, inner = workdir / "outer.fn", workdir / "inner.json"
+    outer.write_text("4 4 : 1 1 2 3\n")
+    inner.write_text('{"domain": 4, "codomain": 4, "images": [0, 2, 2, 3]}')
+    return workdir, str(outer), str(inner)
+
+
+# one small call per command family, and layers it must reach
+TRACED_CALLS = [
+    (["verify", "chain", "--sizes", "2,2,2"],
+     ["oracle.brute_chain", "oracle.nested_chain", "combinatorics.multinomial"]),
+    (["verify", "degq", "--n", "3", "--m", "3", "--qmax", "3"],
+     ["oracle.brute_degq", "oracle.power_sum"]),
+    (["simulate", "chain", "--sizes", "3,3", "--samples", "50", "--seed", "1"],
+     ["montecarlo.estimate", "montecarlo.chain_block", "closed_form"]),
+    (["simulate", "maxfiber", "--n", "5", "--samples", "50", "--seed", "1"],
+     ["montecarlo.estimate", "montecarlo.maxfiber_block"]),
+    (["expected", "--sizes", "2,2"], ["closed_form"]),
+    (["bounds", "OUTER", "INNER"],
+     ["functions.load", "functions.compose", "bounds.report"]),
+]
+
+
+@pytest.mark.parametrize("argv,layers", TRACED_CALLS,
+                         ids=[" ".join(c[0][:2]) for c in TRACED_CALLS])
+def test_tracer_reaches_every_layer(function_files, argv, layers):
+    workdir, outer, inner = function_files
+    argv = [{"OUTER": outer, "INNER": inner}.get(a, a) for a in argv]
+    trace = workdir / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(trace.read_text())["stats"]
+    for layer in layers:
+        assert stats.get(layer, [0])[0] > 0, f"{layer} not reached"
