@@ -62,6 +62,8 @@ from .functions import (
 )
 from .montecarlo import (
     BLOCK_SAMPLES,
+    MAX_DRAWS,
+    STREAM_CONTRACT,
     EstimateReport,
     SamplerConfig,
     SplitMix64,

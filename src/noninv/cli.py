@@ -30,6 +30,7 @@ from .combinatorics import StirlingTable, stirling_transform
 from .errors import InvalidSizeError, NoninvError
 from .functions import load_function
 from .montecarlo import (
+    STREAM_CONTRACT,
     SamplerConfig,
     estimate_expected_degree_chain,
     estimate_max_fiber_mean,
@@ -400,6 +401,7 @@ def _estimate_json(report) -> dict:
     out["z_score"] = report.z_score
     if report.theta_ratio is not None:
         out["theta_ratio"] = report.theta_ratio
+    out["stream_contract"] = STREAM_CONTRACT
     return out
 
 

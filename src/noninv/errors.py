@@ -30,7 +30,8 @@ class NegativePartError(NoninvError):
 
 
 class BudgetExceededError(NoninvError):
-    """An enumeration would produce more objects than the budget allows."""
+    """An enumeration or a sampler would do more work than its budget or
+    cap allows."""
 
 
 class InvalidSizeError(NoninvError):

@@ -11,6 +11,15 @@ across platforms and implementations.
 Uniform integers below a bound are drawn by rejection (words >=
 floor(2^64 / bound) * bound are discarded), so there is no modulo bias.
 
+A chain sample draws f_1 at every point of X_1 = 0..n_1-1, in order
+(n_1 draws below n_2).  Each later f_s is drawn only at the image points
+of the partial composition g = f_{s-1} o ... o f_1, one draw below
+n_{s+1} per point, in order of first appearance of g(x) as x runs over
+0..n_1-1: the composition's degree depends on f_s only there.  A
+max-fiber sample draws its n images in order.  This is version
+``STREAM_CONTRACT`` (2) of the contract; version 1 drew every f_s at all
+of X_s, so chains of more than one map gave other reports.
+
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i uses
 its own SplitMix64 stream whose initial state is the i-th output word of
 a SplitMix64 stream seeded with the master seed.  SplitMix64 is
@@ -22,23 +31,32 @@ changes the report.
 
 All reference values stay exact rationals; floats appear only in the
 reported mean, standard error and z-score.
+
+Each run draws at most ``MAX_DRAWS`` values: samples times the
+per-sample bound n_1 + sum over s = 2..t of min(n_1, n_s) for a chain
+(the image of g has at most min(n_1, n_s) points), or samples times n
+for max fibers.  A run whose bound exceeds the cap is refused before
+any drawing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .closed_form import ChainSpec, expected_degree_chain, expected_degree_iterate
-from .errors import InvalidSizeError
+from .errors import BudgetExceededError, InvalidSizeError
 from .functions import FiniteFunction, _square_sum, fiber_sizes
 
 __all__ = [
     "SplitMix64",
     "derived_stream",
     "BLOCK_SAMPLES",
+    "STREAM_CONTRACT",
+    "MAX_DRAWS",
     "SamplerConfig",
     "EstimateReport",
     "sample_function",
@@ -53,6 +71,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 BLOCK_SAMPLES = 1024
+STREAM_CONTRACT = 2
+# well above the largest pinned run (acceptance criterion 8, 1.5e7
+# draws); at about 1.4M draws/s (CPython 3.11, one core) about 70 s
+MAX_DRAWS = 10**8
 
 
 def _mix64(z: int) -> int:
@@ -159,18 +181,25 @@ def _chain_block(
 ) -> tuple[int, int]:
     """Sum and square-sum of the fiber-square statistic over one block.
 
-    Draws word-for-word what ``sample_function`` draws from
-    ``derived_stream(seed, block)`` (the test suite pins this).
+    Carries the fiber profile of the partial composition, one count per
+    image point in order of first appearance, and draws each later map
+    only at those points (stream contract 2; the test suite pins it
+    against ``sample_function``).
     """
     state = derived_stream(seed, block)._state
     total = 0
     total_sq = 0
     for _ in range(count):
         state, g = _draw(state, sizes[1], sizes[0])
-        for dom, cod in zip(sizes[1:-1], sizes[2:]):
-            state, f = _draw(state, cod, dom)
-            g = [f[x] for x in g]
-        s_val = _square_sum(fiber_sizes(g, sizes[-1]))
+        profile = Counter(g)
+        for m in sizes[2:]:
+            state, f = _draw(state, m, len(profile))
+            merged: dict[int, int] = {}
+            get = merged.get
+            for y, c in zip(f, profile.values()):
+                merged[y] = get(y, 0) + c
+            profile = merged
+        s_val = _square_sum(profile.values())
         total += s_val
         total_sq += s_val * s_val
     return total, total_sq
@@ -188,6 +217,18 @@ def _maxfiber_block(
         total += m_val
         total_sq += m_val * m_val
     return total, total_sq
+
+
+def _check_draws(samples: int, per_sample: int, what: str) -> None:
+    """Refuse a run that may draw more than ``MAX_DRAWS`` values, before
+    any drawing.  A huge count is not printed (``str`` limits digits)."""
+    draws = samples * per_sample
+    if draws <= MAX_DRAWS:
+        return
+    needs = str(draws) if draws < 10**100 else "more than 10^100"
+    raise BudgetExceededError(
+        f"{what} may need {needs} random draws, cap is {MAX_DRAWS}"
+    )
 
 
 def _run_blocks(
@@ -228,6 +269,11 @@ def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
     if config.sizes is None:
         raise InvalidSizeError("config.sizes must be a ChainSpec")
     sizes = config.sizes.sizes
+    _check_draws(
+        config.samples,
+        sizes[0] + sum(min(sizes[0], n) for n in sizes[1:-1]),
+        "chain sampling",
+    )
     total, total_sq = _run_blocks(
         lambda b, c: _chain_block(sizes, config.seed, b, c),
         config.samples,
@@ -259,6 +305,7 @@ def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
         raise InvalidSizeError(
             f"max-fiber estimation needs n >= 3, got {n}"
         )
+    _check_draws(config.samples, n, "max-fiber sampling")
     total, total_sq = _run_blocks(
         lambda b, c: _maxfiber_block(n, config.seed, b, c),
         config.samples,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from noninv import ChainSpec, expected_degree_chain
+from noninv import ChainSpec, expected_degree_chain, montecarlo
 from noninv.cli import run
 
 
@@ -308,6 +308,36 @@ class TestSimulate:
             "--samples", "10", "--seed", "1",
         )
         assert code == 2
+
+    def test_json_carries_stream_contract(self, capsys):
+        for argv in (
+            ("chain", "--sizes", "3,4,2"),
+            ("maxfiber", "--n", "5"),
+        ):
+            code, out, _ = invoke(
+                capsys, "simulate", *argv, "--samples", "50", "--seed", "1",
+                "--json",
+            )
+            assert code == 0
+            assert json.loads(out)["results"][0]["stream_contract"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--sizes", "1000000000,2", "--samples", "1"),
+            ("chain", "--sizes", "2,2", "--samples", str(10**12)),
+            ("maxfiber", "--n", "1000000000", "--samples", "1"),
+        ],
+    )
+    def test_draw_cap(self, capsys, monkeypatch, argv):
+        # refused with exit code 2 before a single value is drawn
+        def no_draw(state, bound, count):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(montecarlo, "_draw", no_draw)
+        code, out, err = invoke(capsys, "simulate", *argv, "--seed", "1")
+        assert code == 2 and out == ""
+        assert "random draws, cap is 100000000" in err
 
 
 class TestUsage:

@@ -8,19 +8,101 @@ import pytest
 
 from noninv import (
     BLOCK_SAMPLES,
+    MAX_DRAWS,
+    BudgetExceededError,
     ChainSpec,
     InvalidSizeError,
     SamplerConfig,
     SplitMix64,
-    compose,
     convergence_table,
     derived_stream,
+    enumerate_functions,
     estimate_expected_degree_chain,
     estimate_max_fiber_mean,
-    expected_degree_chain,
     sample_function,
 )
+from noninv import montecarlo
 from noninv.montecarlo import _chain_block, _mean_and_error
+
+_GAMMA_INVERSE = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
+
+
+def words_between(start: int, end: int) -> int:
+    """SplitMix64 words consumed between two states of one stream: each
+    word adds the golden gamma to the state."""
+    return ((end - start) * _GAMMA_INVERSE) % (1 << 64)
+
+
+def reference_chain_block(sizes, seed, block, count):
+    """Stream contract 2 through the public sampling API: f_1 on all of
+    X_1, each later map only on the image points of the partial
+    composition, in order of first appearance.  Returns the block's
+    (total, total_sq) and the stream's end state."""
+    stream = derived_stream(seed, block)
+    total = total_sq = 0
+    for _ in range(count):
+        g = sample_function(sizes[0], sizes[1], stream).images
+        for m in sizes[2:]:
+            pts = list(dict.fromkeys(g))
+            image_of = dict(zip(pts, sample_function(len(pts), m, stream).images))
+            g = [image_of[y] for y in g]
+        s_val = sum(c * c for c in Counter(g).values())
+        total += s_val
+        total_sq += s_val * s_val
+    return (total, total_sq), stream._state
+
+
+def chain_block_end_state(monkeypatch, sizes, seed, block, count):
+    """``_chain_block``'s sums and the state its last draw left."""
+    states = []
+    draw = montecarlo._draw
+
+    def recording_draw(state, bound, n):
+        state, draws = draw(state, bound, n)
+        states.append(state)
+        return state, draws
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_draw", recording_draw)
+        sums = _chain_block(sizes, seed, block, count)
+    return sums, states[-1]
+
+
+def image_only_pmf(sizes):
+    """Exact pmf of S = sum of squared fiber sizes of the composition
+    under the image-only draw order, by enumerating every draw sequence:
+    n_1 values below n_2, then one value per image point."""
+    pmf = Counter()
+
+    def level(g, s, p):
+        if s == len(sizes) - 1:
+            pmf[sum(c * c for c in Counter(g).values())] += p
+            return
+        pts = list(dict.fromkeys(g))
+        q = p / sizes[s + 1] ** len(pts)
+        for values in product(range(sizes[s + 1]), repeat=len(pts)):
+            image_of = dict(zip(pts, values))
+            level([image_of[y] for y in g], s + 1, q)
+
+    for g in product(range(sizes[1]), repeat=sizes[0]):
+        level(list(g), 1, Fraction(1, sizes[1] ** sizes[0]))
+    return pmf
+
+
+def all_chains_pmf(sizes):
+    """Exact pmf of S over every chain of functions, uniformly."""
+    levels = [
+        [f.images for f in enumerate_functions(n, m)]
+        for n, m in zip(sizes, sizes[1:])
+    ]
+    counts = Counter()
+    for chain in product(*levels):
+        g = chain[0]
+        for f in chain[1:]:
+            g = [f[y] for y in g]
+        counts[sum(c * c for c in Counter(g).values())] += 1
+    chains = sum(counts.values())
+    return {s: Fraction(c, chains) for s, c in counts.items()}
 
 
 class TestSplitMix64:
@@ -125,27 +207,40 @@ class TestEstimateChain:
         assert report.mean == float(mean)
         assert report.std_error == std_error
 
-    def test_matches_public_sampling_api(self):
-        # the inlined block loop must draw word-for-word what
-        # sample_function draws from the derived block stream
-        sizes = (3, 4, 2)
-        config = SamplerConfig(seed=5, samples=37, sizes=ChainSpec(sizes))
-        report = estimate_expected_degree_chain(config)
+    def test_matches_public_sampling_api(self, monkeypatch):
+        # the block loop must draw word-for-word what the public API
+        # draws under stream contract 2, and consume the same words
+        seed, block = 5, 3
+        start = derived_stream(seed, block)._state
+        for sizes in [(5, 3, 4, 2, 6), (7, 1, 5, 5), (20,) * 20]:
+            for count in (BLOCK_SAMPLES, 37):
+                sums, end = chain_block_end_state(
+                    monkeypatch, sizes, seed, block, count
+                )
+                ref_sums, ref_end = reference_chain_block(
+                    sizes, seed, block, count
+                )
+                assert sums == ref_sums, (sizes, count)
+                assert words_between(start, end) == words_between(
+                    start, ref_end
+                ), (sizes, count)
+                assert end == ref_end
 
-        stream = derived_stream(5, 0)
-        total = 0
-        for _ in range(config.samples):
-            chain = [
-                sample_function(sizes[s], sizes[s + 1], stream)
-                for s in range(len(sizes) - 1)
-            ]
-            g = chain[0]
-            for f in chain[1:]:
-                g = compose(f, g)
-            total += sum(c * c for c in g.fiber_sizes())
-        assert report.mean == float(
-            Fraction(total, config.samples * sizes[0])
-        )
+    def test_words_per_sample(self, monkeypatch):
+        # a 20-set chain of 20 draws about 105 words per sample, where
+        # drawing every map on all of its domain takes 380
+        sizes, count = (20,) * 20, 200
+        _, end = chain_block_end_state(monkeypatch, sizes, 1, 0, count)
+        words = words_between(derived_stream(1, 0)._state, end)
+        assert 90 * count < words < 120 * count
+
+    def test_image_only_draws_have_the_chain_law(self):
+        # drawing each later map only on the image of the partial
+        # composition leaves the law of S unchanged, for every chain
+        # with sizes in 1..3 and length 2..4
+        for length in (2, 3, 4):
+            for sizes in product((1, 2, 3), repeat=length):
+                assert image_only_pmf(sizes) == all_chains_pmf(sizes), sizes
 
     def test_degenerate_chain(self):
         config = SamplerConfig(
@@ -223,6 +318,70 @@ class TestEstimateMaxFiber:
         assert estimate_max_fiber_mean(5, config) == estimate_max_fiber_mean(
             5, config
         )
+
+
+def refuse_drawing(monkeypatch):
+    """Make every draw fail, so a refusal is shown to come first."""
+
+    def no_draw(state, bound, count):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(montecarlo, "_draw", no_draw)
+
+
+class TestDrawCap:
+    @pytest.mark.parametrize(
+        "sizes, samples",
+        [((10**9, 2), 1), ((2, 2), 10**12), ((10**200, 2), 1)],
+    )
+    def test_chain_refused_before_drawing(self, monkeypatch, sizes, samples):
+        refuse_drawing(monkeypatch)
+        config = SamplerConfig(seed=1, samples=samples, sizes=ChainSpec(sizes))
+        with pytest.raises(BudgetExceededError, match=f"cap is {MAX_DRAWS}"):
+            estimate_expected_degree_chain(config)
+
+    def test_maxfiber_refused_before_drawing(self, monkeypatch):
+        refuse_drawing(monkeypatch)
+        with pytest.raises(BudgetExceededError, match="1000000000 random"):
+            estimate_max_fiber_mean(10**9, SamplerConfig(seed=1, samples=1))
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        """Replace the block loop: record the sample counts that pass the
+        cap instead of drawing them."""
+        ran = []
+
+        def run_blocks(block_fn, samples):
+            ran.append(samples)
+            return 0, 0
+
+        monkeypatch.setattr(montecarlo, "_run_blocks", run_blocks)
+        return ran
+
+    def test_chain_bound_is_n1_plus_image_bounds(self, monkeypatch):
+        # per sample at most n_1 + min(n_1, n_s) for s = 2..t draws:
+        # 10 + 10 + 3 + 10 here; the last size is a codomain only
+        ran = self.record_runs(monkeypatch)
+        spec = ChainSpec((10, 1000, 3, 1000, 10**6))
+        fits = MAX_DRAWS // 33
+        estimate_expected_degree_chain(
+            SamplerConfig(seed=1, samples=fits, sizes=spec)
+        )
+        with pytest.raises(BudgetExceededError):
+            estimate_expected_degree_chain(
+                SamplerConfig(seed=1, samples=fits + 1, sizes=spec)
+            )
+        assert ran == [fits]
+
+    def test_maxfiber_bound_is_samples_times_n(self, monkeypatch):
+        ran = self.record_runs(monkeypatch)
+        fits = MAX_DRAWS // 1000
+        estimate_max_fiber_mean(1000, SamplerConfig(seed=1, samples=fits))
+        with pytest.raises(BudgetExceededError):
+            estimate_max_fiber_mean(
+                1000, SamplerConfig(seed=1, samples=fits + 1)
+            )
+        assert ran == [fits]
 
 
 class TestSamplerConfig:
