@@ -80,6 +80,31 @@ def _build_report(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
     )
 
 
+def _pair_report(
+    f: FiniteFunction, g: FiniteFunction, same_set: bool
+) -> BoundReport:
+    """Check the sizes of f after g, then build their report.
+
+    Without ``same_set`` g's codomain must be f's domain; with it, f and
+    g must be endofunctions of one set.
+    """
+    if same_set:
+        if not (
+            f.domain_size == f.codomain_size == g.domain_size == g.codomain_size
+        ):
+            raise SizeMismatchError(
+                "bound comparison needs two endofunctions on the same set, "
+                f"got ({g.domain_size}->{g.codomain_size}) and "
+                f"({f.domain_size}->{f.codomain_size})"
+            )
+    elif g.codomain_size != f.domain_size:
+        raise SizeMismatchError(
+            f"inner codomain {g.codomain_size} != outer domain "
+            f"{f.domain_size}"
+        )
+    return _build_report(f, g)
+
+
 def check_composition_bound(
     f: FiniteFunction, g: FiniteFunction
 ) -> BoundReport:
@@ -88,12 +113,7 @@ def check_composition_bound(
     Valid for any f: Y -> Z, g: X -> Y; ``new_holds`` is true for every
     such pair (the test suite sweeps sizes exhaustively).
     """
-    if g.codomain_size != f.domain_size:
-        raise SizeMismatchError(
-            f"inner codomain {g.codomain_size} != outer domain "
-            f"{f.domain_size}"
-        )
-    return _build_report(f, g)
+    return _pair_report(f, g, same_set=False)
 
 
 def check_max_fiber_degree_bound(f: FiniteFunction) -> bool:
@@ -110,18 +130,7 @@ def compare_bounds(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
     deg(f o g) <= max_fiber(f) deg(g) and
     (max_fiber(f) deg(g))^2 <= n deg(f) deg(g)^2.
     """
-    n = f.domain_size
-    if not (
-        f.codomain_size == n
-        and g.domain_size == n
-        and g.codomain_size == n
-    ):
-        raise SizeMismatchError(
-            "bound comparison needs two endofunctions on the same set, "
-            f"got ({g.domain_size}->{g.codomain_size}) and "
-            f"({f.domain_size}->{f.codomain_size})"
-        )
-    return _build_report(f, g)
+    return _pair_report(f, g, same_set=True)
 
 
 def sweep_endofunction_pairs(

@@ -16,6 +16,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -60,7 +62,9 @@ class FiniteFunction:
     """An explicit function between two finite nonempty indexed sets.
 
     Immutable; all derived quantities are pure functions of the image
-    tuple, so instances are safe to share between threads.
+    tuple, so instances are safe to share between threads.  The fibers
+    are counted once, on first use, and kept for ``degree``,
+    ``degree_q`` and ``max_fiber``.
     """
 
     domain_size: int
@@ -79,11 +83,16 @@ class FiniteFunction:
             raise LengthMismatchError(
                 f"expected {self.domain_size} images, got {len(images)}"
             )
-        for x, y in enumerate(images):
-            if not 0 <= y < self.codomain_size:
-                raise OutOfRangeImageError(
-                    f"image of {x} is {y}, outside [0, {self.codomain_size})"
-                )
+        if not (0 <= min(images) and max(images) < self.codomain_size):
+            for x, y in enumerate(images):
+                if not 0 <= y < self.codomain_size:
+                    raise OutOfRangeImageError(
+                        f"image of {x} is {y}, outside "
+                        f"[0, {self.codomain_size})"
+                    )
+        # set by fiber_sizes() on first use; not a field, so it takes no
+        # part in ==, hash or repr
+        object.__setattr__(self, "_fibers", None)
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < self.domain_size:
@@ -92,7 +101,11 @@ class FiniteFunction:
 
     def fiber_sizes(self) -> tuple[int, ...]:
         """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|."""
-        return tuple(fiber_sizes(self.images, self.codomain_size))
+        fibers = self._fibers
+        if fibers is None:
+            fibers = tuple(fiber_sizes(self.images, self.codomain_size))
+            object.__setattr__(self, "_fibers", fibers)
+        return fibers
 
     def degree(self) -> Fraction:
         """deg(f) = (1/|X|) * sum_y |f^-1(y)|^2, as a reduced rational."""
@@ -109,7 +122,7 @@ class FiniteFunction:
         if q < 1:
             raise InvalidExponentError(f"exponent must be >= 1, got {q}")
         return Fraction(
-            sum(c**q for c in self.fiber_sizes()), self.domain_size
+            sum(map(pow, self.fiber_sizes(), repeat(q))), self.domain_size
         )
 
     def max_fiber(self) -> int:
@@ -146,7 +159,7 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
     return FiniteFunction(
         inner.domain_size,
         outer.codomain_size,
-        tuple(outer.images[y] for y in inner.images),
+        tuple(map(outer.images.__getitem__, inner.images)),
     )
 
 
@@ -161,70 +174,97 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
+_JSON_START = re.compile(r"\s*\{")
+
+
+def _column(line: str, index: int) -> int:
+    """One-based column of token ``index`` of ``line.split()``.
+
+    ``str.split()`` and ``\\S+`` agree on what is whitespace, so the
+    regex is only run up to the token an error message names.
+    """
+    return next(islice(_TOKEN.finditer(line), index, None)).start() + 1
 
 
 def parse_function_text(text: str) -> FiniteFunction:
     """Parse the one-line text format (one-based images)."""
-    lines = text.splitlines() or [""]
-    content = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    lines = text.splitlines()
+    content = [i for i, ln in enumerate(lines, 1) if ln and not ln.isspace()]
     if not content:
         raise FunctionFileError("empty function file", 1, 1)
     if len(content) > 1:
-        lineno = content[1][0]
         raise FunctionFileError(
-            "expected a single line 'n m : i_1 ... i_n'", lineno, 1
+            "expected a single line 'n m : i_1 ... i_n'", content[1], 1
         )
-    lineno, line = content[0]
-    tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+    lineno = content[0]
+    line = lines[lineno - 1]
+    tokens = line.split()
+    line_end = len(line) + 1
 
     def want_int(idx: int, what: str, minimum: int) -> int:
         if idx >= len(tokens):
-            raise FunctionFileError(f"missing {what}", lineno, len(line) + 1)
-        tok, col = tokens[idx]
+            raise FunctionFileError(f"missing {what}", lineno, line_end)
+        tok = tokens[idx]
         try:
             value = int(tok)
         except ValueError:
             raise FunctionFileError(
-                f"{what} must be an integer, got {tok!r}", lineno, col
+                f"{what} must be an integer, got {tok!r}",
+                lineno,
+                _column(line, idx),
             ) from None
         if value < minimum:
             raise FunctionFileError(
-                f"{what} must be >= {minimum}, got {value}", lineno, col
+                f"{what} must be >= {minimum}, got {value}",
+                lineno,
+                _column(line, idx),
             )
         return value
 
     n = want_int(0, "domain size", 1)
     m = want_int(1, "codomain size", 1)
-    if len(tokens) < 3 or tokens[2][0] != ":":
-        col = tokens[2][1] if len(tokens) > 2 else len(line) + 1
+    if len(tokens) < 3 or tokens[2] != ":":
+        col = _column(line, 2) if len(tokens) > 2 else line_end
         raise FunctionFileError("expected ':' after the two sizes", lineno, col)
-    image_tokens = tokens[3:]
-    if len(image_tokens) != n:
-        col = image_tokens[-1][1] if image_tokens else len(line) + 1
+    count = len(tokens) - 3
+    if count != n:
+        col = _column(line, len(tokens) - 1) if count else line_end
         raise FunctionFileError(
-            f"expected {n} images, got {len(image_tokens)}", lineno, col
+            f"expected {n} images, got {count}", lineno, col
         )
-    images = []
-    for tok, col in image_tokens:
+    try:
+        # zero-based images; n >= 1, so min and max are defined
+        images = tuple(map(sub, map(int, islice(tokens, 3, None)), repeat(1)))
+        in_range = 0 <= min(images) and max(images) < m
+    except ValueError:
+        in_range = False
+    if not in_range:
+        _raise_first_bad_image(line, lineno, tokens, m)
+    return FiniteFunction(n, m, images)
+
+
+def _raise_first_bad_image(
+    line: str, lineno: int, tokens: list[str], m: int
+) -> None:
+    """Raise the error of the first image token that is not an integer
+    in 1..m, at its column."""
+    for idx in range(3, len(tokens)):
+        tok = tokens[idx]
         try:
             value = int(tok)
         except ValueError:
-            raise FunctionFileError(
-                f"image must be an integer, got {tok!r}", lineno, col
-            ) from None
-        if value == 0:
-            raise FunctionFileError(
-                "text images are one-based; 0 is not a valid image "
-                "(zero-based images belong in the JSON format)",
-                lineno,
-                col,
-            )
-        if not 1 <= value <= m:
-            raise FunctionFileError(
-                f"one-based image {value} outside [1, {m}]", lineno, col
-            )
-        images.append(value - 1)
-    return FiniteFunction(n, m, tuple(images))
+            message = f"image must be an integer, got {tok!r}"
+        else:
+            if value == 0:
+                message = (
+                    "text images are one-based; 0 is not a valid image "
+                    "(zero-based images belong in the JSON format)"
+                )
+            elif not 1 <= value <= m:
+                message = f"one-based image {value} outside [1, {m}]"
+            else:
+                continue
+        raise FunctionFileError(message, lineno, _column(line, idx))
 
 
 def parse_function_json(text: str) -> FiniteFunction:
@@ -247,27 +287,27 @@ def parse_function_json(text: str) -> FiniteFunction:
         raise FunctionFileError("domain and codomain must be integers", 1, 1)
     if n < 1 or m < 1:
         raise FunctionFileError("domain and codomain must be >= 1", 1, 1)
-    if not isinstance(images, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in images
-    ):
+    # exact types: a bool is an int instance but not an image
+    if not isinstance(images, list) or not set(map(type, images)) <= {int}:
         raise FunctionFileError("images must be a list of integers", 1, 1)
     if len(images) != n:
         raise FunctionFileError(
             f"expected {n} images, got {len(images)}", 1, 1
         )
-    for i, v in enumerate(images):
-        if v == m:
-            raise FunctionFileError(
-                f"image {v} at index {i} equals the codomain size; JSON "
-                "images are zero-based (one-based images belong in the "
-                "text format)",
-                1,
-                1,
-            )
-        if not 0 <= v < m:
-            raise FunctionFileError(
-                f"image {v} at index {i} outside [0, {m})", 1, 1
-            )
+    if not (0 <= min(images) and max(images) < m):
+        for i, v in enumerate(images):
+            if v == m:
+                raise FunctionFileError(
+                    f"image {v} at index {i} equals the codomain size; "
+                    "JSON images are zero-based (one-based images belong "
+                    "in the text format)",
+                    1,
+                    1,
+                )
+            if not 0 <= v < m:
+                raise FunctionFileError(
+                    f"image {v} at index {i} outside [0, {m})", 1, 1
+                )
     return FiniteFunction(n, m, tuple(images))
 
 
@@ -275,7 +315,7 @@ def load_function(path: str) -> FiniteFunction:
     """Read a function file, sniffing the format from the first character."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if _JSON_START.match(text):
         return parse_function_json(text)
     return parse_function_text(text)
 

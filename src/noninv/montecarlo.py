@@ -36,7 +36,8 @@ Each run draws at most ``MAX_DRAWS`` values: samples times the
 per-sample bound n_1 + sum over s = 2..t of min(n_1, n_s) for a chain
 (the image of g has at most min(n_1, n_s) points), or samples times n
 for max fibers.  A run whose bound exceeds the cap is refused before
-any drawing.
+any drawing.  A sample draws f_1 (or its max-fiber map) in chunks and
+counts them as it goes, so it holds its fiber counts, not its draws.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
 from .closed_form import ChainSpec, expected_degree_chain, expected_degree_iterate
 from .errors import BudgetExceededError, InvalidSizeError
@@ -75,6 +77,9 @@ STREAM_CONTRACT = 2
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
 # draws); at about 1.4M draws/s (CPython 3.11, one core) about 70 s
 MAX_DRAWS = 10**8
+# the draws of f_1 in a sample are made and counted this many at a time,
+# so a sample holds its fiber counts and one chunk, not n draws
+_DRAW_CHUNK = 1 << 16
 
 
 def _mix64(z: int) -> int:
@@ -122,6 +127,19 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
                 draws[i] = z % bound
                 break
     return state, draws
+
+
+def _draw_chunks(
+    stream: SplitMix64, bound: int, count: int
+) -> Iterator[list[int]]:
+    """``count`` draws below ``bound`` from ``stream`` in lists of at most
+    ``_DRAW_CHUNK``: the same words in the same order as one ``_draw``
+    call, without holding them all at once."""
+    for start in range(0, count, _DRAW_CHUNK):
+        stream._state, draws = _draw(
+            stream._state, bound, min(_DRAW_CHUNK, count - start)
+        )
+        yield draws
 
 
 def derived_stream(seed: int, index: int) -> SplitMix64:
@@ -186,14 +204,15 @@ def _chain_block(
     only at those points (stream contract 2; the test suite pins it
     against ``sample_function``).
     """
-    state = derived_stream(seed, block)._state
+    stream = derived_stream(seed, block)
     total = 0
     total_sq = 0
     for _ in range(count):
-        state, g = _draw(state, sizes[1], sizes[0])
-        profile = Counter(g)
+        profile = Counter(
+            chain.from_iterable(_draw_chunks(stream, sizes[1], sizes[0]))
+        )
         for m in sizes[2:]:
-            state, f = _draw(state, m, len(profile))
+            stream._state, f = _draw(stream._state, m, len(profile))
             merged: dict[int, int] = {}
             get = merged.get
             for y, c in zip(f, profile.values()):
@@ -208,12 +227,13 @@ def _chain_block(
 def _maxfiber_block(
     n: int, seed: int, block: int, count: int
 ) -> tuple[int, int]:
-    state = derived_stream(seed, block)._state
+    stream = derived_stream(seed, block)
     total = 0
     total_sq = 0
     for _ in range(count):
-        state, images = _draw(state, n, n)
-        m_val = max(fiber_sizes(images, n))
+        m_val = max(
+            fiber_sizes(chain.from_iterable(_draw_chunks(stream, n, n)), n)
+        )
         total += m_val
         total_sq += m_val * m_val
     return total, total_sq

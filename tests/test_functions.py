@@ -1,6 +1,8 @@
 """Finite-function core: construction, fibers, degrees, composition."""
 
 import math
+import pickle
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -64,6 +66,24 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             f.images = (1, 1)
 
+    @pytest.mark.parametrize("images", [[0, 5, 1], [7, 0, 1], [0, 1, 6, 9]])
+    def test_out_of_range_names_first_index(self, images):
+        with pytest.raises(OutOfRangeImageError) as exc:
+            make_function(len(images), 5, images)
+        x = next(i for i, y in enumerate(images) if y >= 5)
+        assert str(exc.value) == (
+            f"image of {x} is {images[x]}, outside [0, 5)"
+        )
+
+    @pytest.mark.parametrize("images", [[0, -1, 1], [-2, 0, 1], [0, 1, 4, -3]])
+    def test_negative_image_names_first_index(self, images):
+        with pytest.raises(OutOfRangeImageError) as exc:
+            make_function(len(images), 5, images)
+        x = next(i for i, y in enumerate(images) if y < 0)
+        assert str(exc.value) == (
+            f"image of {x} is {images[x]}, outside [0, 5)"
+        )
+
 
 class TestFibers:
     def test_basic(self):
@@ -78,6 +98,62 @@ class TestFibers:
     @given(random_function())
     def test_fibers_sum_to_domain(self, f):
         assert sum(f.fiber_sizes()) == f.domain_size
+
+
+def plain_fibers(f):
+    counts = [0] * f.codomain_size
+    for x in range(f.domain_size):
+        counts[f(x)] += 1
+    return counts
+
+
+class TestFiberCache:
+    # codomain equal to, larger than and smaller than the domain
+    SIZES = [(1, 1), (6, 6), (5, 40), (40, 5), (300, 1000), (1000, 30)]
+
+    @pytest.mark.parametrize("n,m", SIZES)
+    def test_every_statistic_matches_plain_loop(self, n, m):
+        rng = random.Random(n * 1000 + m)
+        for _ in range(5):
+            f = make_function(n, m, rng.choices(range(m), k=n))
+            fibers = plain_fibers(f)
+            assert f.fiber_sizes() == tuple(fibers)
+            assert f.degree() == Fraction(sum(c * c for c in fibers), n)
+            for q in range(1, 6):
+                assert f.degree_q(q) == Fraction(sum(c**q for c in fibers), n)
+            assert f.max_fiber() == max(fibers)
+            # read again from the cache
+            assert f.fiber_sizes() == tuple(fibers)
+
+    def test_cache_is_not_part_of_the_value(self):
+        f = make_function(4, 3, [0, 2, 2, 1])
+        fresh = make_function(4, 3, [0, 2, 2, 1])
+        before = (hash(f), repr(f))
+        f.degree()
+        assert f == fresh and fresh == f
+        assert (hash(f), repr(f)) == before == (hash(fresh), repr(fresh))
+        assert f != make_function(4, 3, [0, 2, 2, 2])
+
+    def test_pickle_round_trip(self):
+        f = make_function(5, 4, [3, 0, 3, 3, 1])
+        for counted in (False, True):
+            if counted:
+                f.max_fiber()
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+            assert g.fiber_sizes() == (1, 1, 0, 3)
+            assert g.degree_q(3) == Fraction(29, 5)
+
+    def test_counted_function_stays_immutable(self):
+        f = make_function(2, 2, [0, 0])
+        f.fiber_sizes()
+        with pytest.raises(AttributeError):
+            f.images = (1, 1)
+        with pytest.raises(AttributeError):
+            f.codomain_size = 3
+        with pytest.raises(AttributeError):
+            f._fibers = (1, 1)
+        assert f.fiber_sizes() == (2, 0)
 
 
 class TestDegree:

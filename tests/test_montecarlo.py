@@ -22,7 +22,7 @@ from noninv import (
     sample_function,
 )
 from noninv import montecarlo
-from noninv.montecarlo import _chain_block, _mean_and_error
+from noninv.montecarlo import _chain_block, _maxfiber_block, _mean_and_error
 
 _GAMMA_INVERSE = pow(0x9E3779B97F4A7C15, -1, 1 << 64)
 
@@ -52,8 +52,8 @@ def reference_chain_block(sizes, seed, block, count):
     return (total, total_sq), stream._state
 
 
-def chain_block_end_state(monkeypatch, sizes, seed, block, count):
-    """``_chain_block``'s sums and the state its last draw left."""
+def block_end_state(monkeypatch, block_fn, *args):
+    """A block function's sums and the state its last draw left."""
     states = []
     draw = montecarlo._draw
 
@@ -64,8 +64,13 @@ def chain_block_end_state(monkeypatch, sizes, seed, block, count):
 
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_draw", recording_draw)
-        sums = _chain_block(sizes, seed, block, count)
+        sums = block_fn(*args)
     return sums, states[-1]
+
+
+def chain_block_end_state(monkeypatch, sizes, seed, block, count):
+    """``_chain_block``'s sums and the state its last draw left."""
+    return block_end_state(monkeypatch, _chain_block, sizes, seed, block, count)
 
 
 def image_only_pmf(sizes):
@@ -103,6 +108,42 @@ def all_chains_pmf(sizes):
         counts[sum(c * c for c in Counter(g).values())] += 1
     chains = sum(counts.values())
     return {s: Fraction(c, chains) for s, c in counts.items()}
+
+
+class TestDrawChunks:
+    # f_1 (and a max-fiber map) is drawn in chunks; the chunk size must
+    # not change a single draw, so a tiny chunk gives the same block
+    CASES = [
+        (_chain_block, (30, 20, 10)),
+        (_chain_block, (7, 5)),
+        (_chain_block, (50, 3, 50, 2)),
+        (_maxfiber_block, 30),
+        (_maxfiber_block, 7),
+        (_maxfiber_block, 6),
+    ]
+
+    @pytest.mark.parametrize("block_fn,size", CASES)
+    def test_chunk_size_changes_nothing(self, monkeypatch, block_fn, size):
+        args = (size, 11, 2, 40)
+        whole = block_end_state(monkeypatch, block_fn, *args)
+        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
+        assert block_end_state(monkeypatch, block_fn, *args) == whole
+
+    @pytest.mark.parametrize("block_fn,size", [
+        (_chain_block, (30, 20)), (_maxfiber_block, 30),
+    ])
+    def test_first_map_is_drawn_in_chunks(self, monkeypatch, block_fn, size):
+        calls = []
+        draw = montecarlo._draw
+
+        def counting_draw(state, bound, n):
+            calls.append(n)
+            return draw(state, bound, n)
+
+        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_draw", counting_draw)
+        block_fn(size, 1, 0, 3)
+        assert calls == [7, 7, 7, 7, 2] * 3
 
 
 class TestSplitMix64:

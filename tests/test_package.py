@@ -50,11 +50,17 @@ TRACED_CALLS = [
     (["expected", "--sizes", "2,2"], ["closed_form"]),
     (["bounds", "OUTER", "INNER"],
      ["functions.load", "functions.compose", "bounds.report"]),
+    (["deg", "--file", "OUTER"], ["functions.load", "functions.degree"]),
+    (["deg", "--file", "INNER"], ["functions.load", "functions.degree"]),
 ]
 
 
-@pytest.mark.parametrize("argv,layers", TRACED_CALLS,
-                         ids=[" ".join(c[0][:2]) for c in TRACED_CALLS])
+# a call is named by its command and first word; deg calls by their file
+CALL_IDS = [" ".join(argv[:2] if argv[0] != "deg" else argv[::2])
+            for argv, _ in TRACED_CALLS]
+
+
+@pytest.mark.parametrize("argv,layers", TRACED_CALLS, ids=CALL_IDS)
 def test_tracer_reaches_every_layer(function_files, argv, layers):
     workdir, outer, inner = function_files
     argv = [{"OUTER": outer, "INNER": inner}.get(a, a) for a in argv]
