@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from .bounds import (
     check_composition_bound,
@@ -26,8 +28,12 @@ from .closed_form import (
     power_sum_stirling_form,
     stirling_identity_sum,
 )
-from .combinatorics import StirlingTable, stirling_transform
-from .errors import InvalidSizeError, NoninvError
+from .combinatorics import (
+    StirlingTable,
+    check_stirling_rows,
+    stirling_transform,
+)
+from .errors import BudgetExceededError, InvalidSizeError, NoninvError
 from .functions import load_function
 from .montecarlo import (
     STREAM_CONTRACT,
@@ -47,7 +53,12 @@ from .oracle import (
     multinomial_power_sum,
 )
 
-__all__ = ["run", "main"]
+__all__ = ["run", "main", "MAX_STIRLING_OUTPUT_DIGITS"]
+
+# `stirling --rows R` prints at most (R+1)(R+2)/2 entries of at most as
+# many digits as R!; refused past this bound (R <= 447 fits), before
+# any row is built
+MAX_STIRLING_OUTPUT_DIGITS = 10**8
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +104,9 @@ def _report_line(check: str, report: VerificationReport) -> str:
 
 
 def _emit_envelope(args, parameters: dict, results: list,
-                   lines: list[str], all_match: bool | None) -> None:
+                   lines: Iterable[str], all_match: bool | None) -> None:
+    """Print the JSON envelope, or else each text line; ``lines`` may be
+    a generator, which ``--json`` never runs."""
     if args.json:
         envelope = {
             "command": args.command_path,
@@ -251,6 +264,12 @@ def _cmd_verify_en(args) -> int:
 
 
 def _cmd_verify_corollary(args) -> int:
+    budget = EnumerationBudget(args.budget)
+    # the identity sum at q multiplies q(q+1)/2 pairs of Stirling numbers
+    qmax = args.qmax
+    budget.check(qmax * (qmax + 1) * (qmax + 2) // 6,
+                 f"Stirling identity sweep to q={qmax}")
+    check_stirling_rows(qmax)
     reports = []
     for q in range(1, args.qmax + 1):
         reports.append(
@@ -261,7 +280,6 @@ def _cmd_verify_corollary(args) -> int:
                 ),
             )
         )
-    budget = EnumerationBudget(args.budget)
     for n in range(1, args.nmax + 1):
         for q in range(1, min(args.qmax, 6) + 1):
             reports.append(
@@ -365,22 +383,31 @@ def _cmd_stirling(args) -> int:
             None,
         )
         return 0
-    table = StirlingTable(args.rows)
-    rows = []
-    for n in range(args.rows + 1):
-        if args.kind == "second":
-            row = list(table.second_row(n))
-        elif args.kind == "first":
-            row = list(table.first_row(n))
-        else:
-            row = [table.first_signed(n, k) for k in range(n + 1)]
-        rows.append(row)
+    rows = args.rows
+    check_stirling_rows(rows)
+    # every entry of rows 0..R is at most R!, which bounds the digits
+    digits = (rows + 1) * (rows + 2) // 2 * len(str(math.factorial(rows)))
+    if digits > MAX_STIRLING_OUTPUT_DIGITS:
+        raise BudgetExceededError(
+            f"stirling --rows {rows} may print up to {digits} digits, "
+            f"cap is {MAX_STIRLING_OUTPUT_DIGITS}"
+        )
+    table = StirlingTable(rows)
+    if args.kind == "second":
+        triangle = [table.second_row(n) for n in range(rows + 1)]
+    else:
+        triangle = table.first_rows(rows)
+        if args.kind == "first-signed":
+            triangle = [
+                [-v if (n - k) % 2 else v for k, v in enumerate(row)]
+                for n, row in enumerate(triangle)
+            ]
     _emit_envelope(
         args,
-        {"kind": args.kind, "rows": args.rows},
-        [{"triangle": rows}],
-        [f"{n}: " + " ".join(str(v) for v in row)
-         for n, row in enumerate(rows)],
+        {"kind": args.kind, "rows": rows},
+        [{"triangle": triangle}],
+        (f"{n}: " + " ".join(map(str, row))
+         for n, row in enumerate(triangle)),
         None,
     )
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .combinatorics import binomial, stirling1_unsigned, stirling2
+from .combinatorics import binomial, stirling1_rows, stirling2_row
 from .errors import InvalidExponentError, InvalidSizeError
 
 __all__ = [
@@ -95,14 +95,27 @@ def power_difference_coeffs(t: int) -> list[int]:
 
 
 def _power_sum_kernel(n: int, m: int, q: int) -> int:
-    # sum_{k=1..q} {q, k} (sum_{j=1..k} (-1)^(k-j) [k, j] n^(j-1)) m^(q-k)
+    """The paper's double sum
+
+        sum_{k=1..q} {q brace k}
+            (sum_{j=1..k} (-1)^(k-j) [k brack j] n^(j-1)) m^(q-k),
+
+    read from the second-kind row q and the first-kind rows 1..q, each
+    once.  The inner sum is (-1)^(k-1) times the polynomial
+    sum_j [k brack j] x^(j-1) at x = -n, evaluated by Horner from
+    j = k down to 1; the outer sum is evaluated by Horner in m.
+    """
+    second = stirling2_row(q)
+    first = stirling1_rows(q)
+    x = -n
     total = 0
     for k in range(1, q + 1):
-        inner = sum(
-            (-1) ** (k - j) * stirling1_unsigned(k, j) * n ** (j - 1)
-            for j in range(1, k + 1)
-        )
-        total += stirling2(q, k) * inner * m ** (q - k)
+        inner = 0
+        for c in first[k][k:0:-1]:
+            inner = inner * x + c
+        if k % 2 == 0:
+            inner = -inner
+        total = total * m + second[k] * inner
     return total
 
 
@@ -114,8 +127,10 @@ def expected_degree_q(n: int, m: int, q: int) -> Fraction:
         (1/m^(q-1)) * sum_{k=1..q} {q brace k}
             (sum_{j=1..k} (-1)^(k-j) [k brack j] n^(j-1)) m^(q-k)
 
-    exactly; ``noninv.oracle.brute_expected_degree_q`` is the
-    enumeration path the tests compare against.
+    exactly, term for term as the paper's double sum, reading whole
+    Stirling rows and nesting both sums by Horner (``_power_sum_kernel``).
+    ``noninv.oracle.brute_expected_degree_q`` is the enumeration path the
+    tests compare against.  q is capped by ``MAX_STIRLING_ROWS``.
     """
     if n < 1 or m < 1:
         raise InvalidSizeError(f"set sizes must be >= 1, got ({n}, {m})")
@@ -147,12 +162,19 @@ def closed_multinomial_power_sum(n: int, m: int, q: int) -> int:
     return value.numerator
 
 
-def _stirling_inner_sum(q: int, k: int) -> int:
-    """sum_{j=1..q-k} {q brace k+j} [k+j brack j]."""
-    return sum(
-        stirling2(q, k + j) * stirling1_unsigned(k + j, j)
-        for j in range(1, q - k + 1)
-    )
+def _stirling_inner_sums(q: int) -> list[int]:
+    """Entry k, k = 0..q-1, is sum_{j=1..q-k} {q brace k+j} [k+j brack j].
+
+    Reads the second-kind row q once and each first-kind row i = 1..q
+    once: row i adds {q brace i} [i brack i-k] to the sums k = 0..i-1.
+    """
+    second = stirling2_row(q)
+    first = stirling1_rows(q)
+    sums = [0] * q
+    for i in range(1, q + 1):
+        s = second[i]
+        sums[:i] = [acc + s * c for acc, c in zip(sums, first[i][i:0:-1])]
+    return sums
 
 
 def stirling_identity_sum(q: int) -> int:
@@ -164,7 +186,8 @@ def stirling_identity_sum(q: int) -> int:
     """
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    return sum((-1) ** k * _stirling_inner_sum(q, k) for k in range(q))
+    sums = _stirling_inner_sums(q)
+    return sum(sums[0::2]) - sum(sums[1::2])
 
 
 def power_sum_stirling_form(n: int, q: int) -> int:
@@ -179,10 +202,10 @@ def power_sum_stirling_form(n: int, q: int) -> int:
         raise InvalidSizeError(f"n must be >= 1, got {n}")
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    total = sum(
-        (-1) ** k * _stirling_inner_sum(q, k) * n ** (q - k - 1)
-        for k in range(q)
-    )
+    # Horner in n from k = 0, the coefficient of n^(q-1)
+    total = 0
+    for k, inner in enumerate(_stirling_inner_sums(q)):
+        total = total * n + (-inner if k % 2 else inner)
     value = Fraction(n) ** (n - (q - 2)) * total
     if value.denominator != 1:
         raise ArithmeticError(

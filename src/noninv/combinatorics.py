@@ -10,17 +10,22 @@ from __future__ import annotations
 
 import math
 import threading
+from operator import add, mul
 from typing import Sequence
 
-from .errors import NegativePartError
+from .errors import BudgetExceededError, NegativePartError
 
 __all__ = [
     "binomial",
     "multinomial",
+    "MAX_STIRLING_ROWS",
     "StirlingTable",
+    "check_stirling_rows",
     "stirling2",
     "stirling1_unsigned",
     "stirling1_signed",
+    "stirling2_row",
+    "stirling1_rows",
     "stirling_transform",
 ]
 
@@ -55,14 +60,38 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return result
 
 
+# Row n of either kind holds n + 1 integers of up to log2(n!) bits, so a
+# table of both kinds to row N holds about N^2 of them: to row 600 it
+# takes about 0.2 s and 100 MiB (CPython 3.11, one core).
+MAX_STIRLING_ROWS = 600
+
+
+def check_stirling_rows(n: int) -> None:
+    """Refuse a Stirling table past row ``MAX_STIRLING_ROWS``."""
+    if n > MAX_STIRLING_ROWS:
+        raise BudgetExceededError(
+            f"Stirling rows up to {n} exceed the cap of "
+            f"{MAX_STIRLING_ROWS} rows"
+        )
+
+
 class StirlingTable:
     """Memoized triangles of Stirling numbers of both kinds.
 
-    Rows are grown lazily: reading entry (n, k) materializes all rows up
-    to n.  Growth appends only fully built rows under a lock, so
-    concurrent readers never observe a partial row; a built table is
-    effectively immutable.  Call ``ensure(n)`` to pre-size before sharing
-    across threads if you want to avoid any locking on the read path.
+    Rows are grown lazily, whole rows at a time: reading entry (n, k) or
+    row n materializes all rows up to n.  Row n+1 of each kind is built
+    from row n in one ``map`` over the row and its shift, by the
+    recurrences {n+1, k} = k{n, k} + {n, k-1} and
+    [n+1, k] = n[n, k] + [n, k-1].  ``ensure`` is the only place rows
+    grow; it refuses rows past ``MAX_STIRLING_ROWS`` before building any.
+
+    Growth appends only fully built rows under a lock, so concurrent
+    readers never observe a partial row; a built table is effectively
+    immutable.  Call ``ensure(n)`` to pre-size before sharing across
+    threads if you want to avoid any locking on the read path.  Hot
+    loops read whole rows (``second_row``, ``first_rows``) and index the
+    tuples, so they pay one ``ensure`` per row or per triangle, not per
+    entry.
     """
 
     def __init__(self, max_n: int = 0):
@@ -80,29 +109,22 @@ class StirlingTable:
         """Materialize both triangles up to row n."""
         if n <= self.max_n:
             return
+        check_stirling_rows(n)
         with self._lock:
-            while len(self._second) <= n:
-                row_n = len(self._second) - 1
-                prev2 = self._second[row_n]
-                prev1 = self._first[row_n]
-
-                def entry(row: tuple[int, ...], k: int) -> int:
-                    return row[k] if 0 <= k <= row_n else 0
-
-                # {n+1, k} = k*{n, k} + {n, k-1}
-                self._second.append(
-                    tuple(
-                        k * entry(prev2, k) + entry(prev2, k - 1)
-                        for k in range(row_n + 2)
-                    )
-                )
-                # [n+1, k] = n*[n, k] + [n, k-1]
-                self._first.append(
-                    tuple(
-                        row_n * entry(prev1, k) + entry(prev1, k - 1)
-                        for k in range(row_n + 2)
-                    )
-                )
+            second, first = self._second, self._first
+            while len(second) <= n:
+                row_n = len(second) - 1
+                prev2, prev1 = second[row_n], first[row_n]
+                # entry k of each map pairs row n at k (padded with a
+                # trailing 0) with row n at k - 1 (shifted by a leading 0)
+                second.append(tuple(map(
+                    add,
+                    map(mul, range(row_n + 2), prev2 + (0,)),
+                    (0,) + prev2,
+                )))
+                first.append(tuple(map(
+                    add, map(row_n.__mul__, prev1 + (0,)), (0,) + prev1
+                )))
 
     def second(self, n: int, k: int) -> int:
         """{n brace k}: partitions of an n-set into k nonempty blocks."""
@@ -128,12 +150,19 @@ class StirlingTable:
         return -value if (n - k) % 2 else value
 
     def second_row(self, n: int) -> tuple[int, ...]:
+        """({n brace 0}, ..., {n brace n})."""
         self.ensure(n)
         return self._second[n]
 
     def first_row(self, n: int) -> tuple[int, ...]:
+        """([n brack 0], ..., [n brack n])."""
         self.ensure(n)
         return self._first[n]
+
+    def first_rows(self, n: int) -> list[tuple[int, ...]]:
+        """Rows 0..n of the unsigned first kind, through one ``ensure``."""
+        self.ensure(n)
+        return self._first[: n + 1]
 
 
 _SHARED = StirlingTable()
@@ -151,12 +180,21 @@ def stirling1_signed(n: int, k: int) -> int:
     return _SHARED.first_signed(n, k)
 
 
+def stirling2_row(n: int) -> tuple[int, ...]:
+    return _SHARED.second_row(n)
+
+
+def stirling1_rows(n: int) -> list[tuple[int, ...]]:
+    return _SHARED.first_rows(n)
+
+
 def stirling_transform(a: Sequence[int]) -> list[int]:
     """b_l = sum_{i=1..l} {l brace i} * a_i, one-indexed, same length as a."""
     if len(a) == 0:
         raise ValueError("sequence must have length >= 1")
     _SHARED.ensure(len(a))
+    # row l from k = 1 pairs {l brace i} with a_i, i = 1..l
     return [
-        sum(_SHARED.second(l, i) * a[i - 1] for i in range(1, l + 1))
+        sum(map(mul, _SHARED.second_row(l)[1:], a))
         for l in range(1, len(a) + 1)
     ]

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from noninv import ChainSpec, expected_degree_chain, montecarlo
+from noninv import (
+    ChainSpec,
+    expected_degree_chain,
+    montecarlo,
+    stirling1_signed,
+)
+from noninv import cli
 from noninv.cli import run
 
 
@@ -232,6 +238,76 @@ class TestStirling:
         code, out, _ = invoke(capsys, "stirling", "--transform", "1,1,1")
         assert code == 0
         assert out.strip() == "1 2 5"
+
+    @pytest.mark.parametrize("kind", ["second", "first", "first-signed"])
+    def test_text_lines_match_json_triangle(self, capsys, kind):
+        code, out, _ = invoke(capsys, "stirling", "--kind", kind,
+                              "--rows", "12")
+        assert code == 0
+        code, doc, _ = invoke(capsys, "stirling", "--kind", kind,
+                              "--rows", "12", "--json")
+        triangle = json.loads(doc)["results"][0]["triangle"]
+        assert out.splitlines() == [
+            f"{n}: " + " ".join(str(v) for v in row)
+            for n, row in enumerate(triangle)
+        ]
+
+    def test_signed_rows_match_per_entry_sign(self, capsys):
+        code, doc, _ = invoke(capsys, "stirling", "--kind", "first-signed",
+                              "--rows", "12", "--json")
+        triangle = json.loads(doc)["results"][0]["triangle"]
+        assert triangle == [
+            [stirling1_signed(n, k) for k in range(n + 1)] for n in range(13)
+        ]
+
+
+class TestClosedFormCaps:
+    """Closed-form commands past their caps exit 2 before any Stirling
+    row is built (``refuse_growth``) or any sum is taken."""
+
+    def refused(self, capsys, *argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        return err
+
+    def test_expected_q_past_row_cap(self, capsys, refuse_growth):
+        err = self.refused(capsys, "expected-q", "--n", "5", "--m", "5",
+                           "--q", "5000")
+        assert "Stirling rows up to 5000 exceed the cap of 600 rows" in err
+
+    def test_stirling_past_row_cap(self, capsys, refuse_growth):
+        err = self.refused(capsys, "stirling", "--rows", "3000")
+        assert "exceed the cap of 600 rows" in err
+
+    def test_stirling_past_output_cap(self, capsys, refuse_growth):
+        # 448 rows are within the row cap, but may print 100,519,875 digits
+        err = self.refused(capsys, "stirling", "--rows", "448", "--json")
+        assert "may print up to 100519875 digits, cap is 100000000" in err
+
+    def test_output_cap_is_the_digit_bound(self, capsys, monkeypatch):
+        # rows 0..12: 91 entries of at most 9 digits (12! = 479001600)
+        monkeypatch.setattr(cli, "MAX_STIRLING_OUTPUT_DIGITS", 91 * 9)
+        code, _, _ = invoke(capsys, "stirling", "--rows", "12")
+        assert code == 0
+        self.refused(capsys, "stirling", "--rows", "13")
+
+    def test_corollary_past_budget(self, capsys, refuse_growth):
+        err = self.refused(capsys, "verify", "corollary", "--qmax", "3000")
+        assert "needs 4504501000" in err and "budget is 1000000" in err
+
+    def test_corollary_counts_stirling_products(self, capsys):
+        # sum_{q<=5} q(q+1)/2 = 35 products
+        code, _, _ = invoke(capsys, "verify", "corollary", "--qmax", "5",
+                            "--nmax", "0", "--budget", "35")
+        assert code == 0
+        err = self.refused(capsys, "verify", "corollary", "--qmax", "5",
+                           "--nmax", "0", "--budget", "34")
+        assert "needs 35" in err
+
+    def test_corollary_past_row_cap(self, capsys, refuse_growth):
+        err = self.refused(capsys, "verify", "corollary", "--qmax", "601",
+                           "--budget", str(10**9))
+        assert "exceed the cap of 600 rows" in err
 
 
 class TestBounds:

@@ -7,11 +7,12 @@ package oracle and test oracle are three separate computations.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, perm
 
 import pytest
 
 from noninv import (
+    BudgetExceededError,
     ChainSpec,
     InvalidExponentError,
     InvalidSizeError,
@@ -21,8 +22,12 @@ from noninv import (
     expected_degree_q,
     power_difference_coeffs,
     power_sum_stirling_form,
+    stirling1_unsigned,
+    stirling2,
     stirling_identity_sum,
 )
+from noninv.closed_form import _power_sum_kernel, _stirling_inner_sums
+from noninv.combinatorics import MAX_STIRLING_ROWS
 
 
 def naive_chain_average(sizes) -> Fraction:
@@ -249,3 +254,119 @@ class TestPowerSumStirlingForm:
         assert power_sum_stirling_form(3, 1) == 81
         for q in range(1, 8):
             assert power_sum_stirling_form(1, q) == 1
+
+
+# --- whole-row Horner evaluation against the per-entry loops it replaced ----
+#
+# The three loops below are verbatim copies of the per-entry evaluation
+# (one ``stirling1_unsigned``/``stirling2`` call and one fresh power per
+# term) that the Horner kernels replaced.
+
+def per_entry_power_sum_kernel(n, m, q):
+    total = 0
+    for k in range(1, q + 1):
+        inner = sum(
+            (-1) ** (k - j) * stirling1_unsigned(k, j) * n ** (j - 1)
+            for j in range(1, k + 1)
+        )
+        total += stirling2(q, k) * inner * m ** (q - k)
+    return total
+
+
+def per_entry_inner_sum(q, k):
+    return sum(
+        stirling2(q, k + j) * stirling1_unsigned(k + j, j)
+        for j in range(1, q - k + 1)
+    )
+
+
+def per_entry_power_sum_form(n, q):
+    total = sum(
+        (-1) ** k * per_entry_inner_sum(q, k) * n ** (q - k - 1)
+        for k in range(q)
+    )
+    value = Fraction(n) ** (n - (q - 2)) * total
+    return value.numerator
+
+
+def falling_factorial_kernel(n, m, q):
+    """The kernel with no first-kind numbers: the signed first kind
+    generates the falling factorial, so sum_j s(k, j) n^(j-1) =
+    (n-1)(n-2)...(n-k+1) = perm(n-1, k-1), zero once k > n."""
+    return sum(
+        stirling2(q, k) * perm(n - 1, k - 1) * m ** (q - k)
+        for k in range(1, q + 1)
+    )
+
+
+SIZES = (1, 2, 3, 7, 1000)
+
+
+class TestPowerSumKernel:
+    @pytest.mark.parametrize("n,m", list(product(SIZES, repeat=2)))
+    def test_matches_per_entry_loop(self, n, m):
+        for q in range(1, 61):
+            assert _power_sum_kernel(n, m, q) == per_entry_power_sum_kernel(
+                n, m, q
+            ), q
+
+    @pytest.mark.parametrize("n,m", list(product(SIZES, repeat=2)))
+    def test_matches_falling_factorial_form(self, n, m):
+        for q in range(1, 61):
+            assert _power_sum_kernel(n, m, q) == falling_factorial_kernel(
+                n, m, q
+            ), q
+
+    @pytest.mark.parametrize("n,m", [(1000, 1000), (1000, 7), (3, 1000)])
+    def test_falling_factorial_form_at_q_400(self, n, m):
+        assert _power_sum_kernel(n, m, 400) == falling_factorial_kernel(
+            n, m, 400
+        )
+
+    def test_pinned_large_value(self):
+        # the benchmark's expected-q call; pinned by its digit count, its
+        # leading digits and its residue modulo the prime 2^61 - 1
+        value = _power_sum_kernel(1000, 1000, 400)
+        assert value == per_entry_power_sum_kernel(1000, 1000, 400)
+        digits = str(value)
+        assert len(digits) == 1840
+        assert digits[:30] == "258151763204998854739933171147"
+        assert value % (2**61 - 1) == 1297833523516113877
+
+
+class TestStirlingInnerSums:
+    def test_matches_per_entry_loop(self):
+        for q in range(1, 61):
+            assert _stirling_inner_sums(q) == [
+                per_entry_inner_sum(q, k) for k in range(q)
+            ], q
+
+    def test_identity_sum_matches_per_entry_loop(self):
+        for q in range(1, 61):
+            assert stirling_identity_sum(q) == sum(
+                (-1) ** k * per_entry_inner_sum(q, k) for k in range(q)
+            ) == 1
+
+    def test_power_sum_form_matches_per_entry_loop(self):
+        for n in range(1, 7):
+            for q in range(1, 61):
+                assert power_sum_stirling_form(
+                    n, q
+                ) == per_entry_power_sum_form(n, q), (n, q)
+
+
+class TestStirlingRowCap:
+    """Closed forms past the Stirling row cap are refused before any row
+    is built; ``refuse_growth`` makes building a row fail the test."""
+
+    def test_expected_degree_q(self, refuse_growth):
+        with pytest.raises(BudgetExceededError, match="cap of"):
+            expected_degree_q(5, 5, 5000)
+
+    def test_identity_sum(self, refuse_growth):
+        with pytest.raises(BudgetExceededError, match="cap of"):
+            stirling_identity_sum(MAX_STIRLING_ROWS + 1)
+
+    def test_power_sum_form(self, refuse_growth):
+        with pytest.raises(BudgetExceededError, match="cap of"):
+            power_sum_stirling_form(2, MAX_STIRLING_ROWS + 1)

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from noninv import (
+    BudgetExceededError,
     NegativePartError,
     StirlingTable,
     binomial,
@@ -16,6 +17,7 @@ from noninv import (
     stirling2,
     stirling_transform,
 )
+from noninv.combinatorics import MAX_STIRLING_ROWS, check_stirling_rows
 
 
 # --- independent counting oracles ----------------------------------------
@@ -67,6 +69,37 @@ def bell_numbers(limit: int) -> list[int]:
         row = new
         bell.append(row[0])
     return bell
+
+
+def entry_recurrence_rows(limit: int):
+    """Both triangles to row ``limit``, built by a verbatim copy of the
+    per-entry ``entry()`` loop that grew ``StirlingTable`` rows before
+    the whole-row ``map`` recurrence."""
+    second = [(1,)]
+    first = [(1,)]
+    while len(second) <= limit:
+        row_n = len(second) - 1
+        prev2 = second[row_n]
+        prev1 = first[row_n]
+
+        def entry(row: tuple[int, ...], k: int) -> int:
+            return row[k] if 0 <= k <= row_n else 0
+
+        # {n+1, k} = k*{n, k} + {n, k-1}
+        second.append(
+            tuple(
+                k * entry(prev2, k) + entry(prev2, k - 1)
+                for k in range(row_n + 2)
+            )
+        )
+        # [n+1, k] = n*[n, k] + [n, k-1]
+        first.append(
+            tuple(
+                row_n * entry(prev1, k) + entry(prev1, k - 1)
+                for k in range(row_n + 2)
+            )
+        )
+    return second, first
 
 
 # --- binomial / multinomial ------------------------------------------------
@@ -212,6 +245,28 @@ class TestStirlingTable:
         assert table.second(9, 3) == 3025
         assert table.max_n == 9
 
+    def test_rows_match_per_entry_recurrence(self):
+        second, first = entry_recurrence_rows(200)
+        table = StirlingTable(200)
+        assert [table.second_row(n) for n in range(201)] == second
+        assert table.first_rows(200) == first
+        assert [table.first_row(n) for n in range(201)] == first
+
+    def test_rows_grown_in_steps_match(self):
+        # growth resumes from the last built row, whatever the steps
+        second, first = entry_recurrence_rows(60)
+        table = StirlingTable()
+        for n in (1, 2, 7, 8, 31, 60):
+            table.ensure(n)
+            assert table.first_rows(n) == first[: n + 1]
+            assert table.second_row(n) == second[n]
+
+    def test_first_rows_is_a_copy(self):
+        table = StirlingTable(5)
+        rows = table.first_rows(3)
+        rows.append(())
+        assert table.first_rows(5)[4] == (0, 6, 11, 6, 1)
+
     def test_concurrent_growth(self):
         table = StirlingTable()
         results = []
@@ -230,6 +285,48 @@ class TestStirlingTable:
         assert sorted(results) == sorted(
             reference.second(n, 2) for n in (40, 60, 50, 60)
         )
+
+
+class TestRowCap:
+    """Rows past ``MAX_STIRLING_ROWS`` are refused before any row is
+    built; ``refuse_growth`` makes building a row fail the test."""
+
+    def test_check(self):
+        check_stirling_rows(MAX_STIRLING_ROWS)
+        with pytest.raises(BudgetExceededError, match="up to 601 exceed"):
+            check_stirling_rows(MAX_STIRLING_ROWS + 1)
+
+    def test_ensure_refuses_before_growing(self, refuse_growth):
+        table = StirlingTable()
+        with pytest.raises(BudgetExceededError):
+            table.ensure(MAX_STIRLING_ROWS + 1)
+        assert table.max_n == 0
+
+    def test_constructor(self, refuse_growth):
+        with pytest.raises(BudgetExceededError):
+            StirlingTable(10**9)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda n: stirling2(n, 1),
+            lambda n: stirling1_unsigned(n, 1),
+            lambda n: stirling1_signed(n, 1),
+            lambda n: stirling_transform([1] * n),
+        ],
+        ids=["stirling2", "stirling1_unsigned", "stirling1_signed",
+             "transform"],
+    )
+    def test_shared_table_readers(self, refuse_growth, read):
+        with pytest.raises(BudgetExceededError):
+            read(MAX_STIRLING_ROWS + 1)
+
+    def test_refused_growth_leaves_table_usable(self):
+        table = StirlingTable(3)
+        with pytest.raises(BudgetExceededError):
+            table.ensure(MAX_STIRLING_ROWS + 1)
+        assert table.max_n == 3
+        assert table.second(5, 2) == 15
 
 
 class TestStirlingTransform:
@@ -255,3 +352,10 @@ class TestStirlingTransform:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             stirling_transform([])
+
+    def test_matches_per_entry_sum(self):
+        a = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, 0, 8]
+        assert stirling_transform(a) == [
+            sum(stirling2(l, i) * a[i - 1] for i in range(1, l + 1))
+            for l in range(1, len(a) + 1)
+        ]

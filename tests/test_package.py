@@ -48,6 +48,13 @@ TRACED_CALLS = [
     (["simulate", "maxfiber", "--n", "5", "--samples", "50", "--seed", "1"],
      ["montecarlo.estimate", "montecarlo.maxfiber_block"]),
     (["expected", "--sizes", "2,2"], ["closed_form"]),
+    # closed forms and the stirling command read Stirling rows only
+    # through StirlingTable.ensure, which the tracer patches at the class
+    (["expected-q", "--n", "3", "--m", "3", "--q", "4"],
+     ["closed_form", "combinatorics.stirling_table"]),
+    (["verify", "corollary", "--qmax", "5"],
+     ["closed_form", "combinatorics.stirling_table", "oracle.power_sum"]),
+    (["stirling", "--rows", "5"], ["combinatorics.stirling_table"]),
     (["bounds", "OUTER", "INNER"],
      ["functions.load", "functions.compose", "bounds.report"]),
     (["deg", "--file", "OUTER"], ["functions.load", "functions.degree"]),
