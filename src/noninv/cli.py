@@ -1,9 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 = success (all verifications passed), 1 = at least one
-verification mismatch, 2 = usage or input error.  Text output is
-line-oriented, one record per line; ``--json`` emits a single JSON
-document per invocation.
+verification or bound check failed, 2 = usage or input error.  Text
+output is line-oriented, one record per line; ``--json`` emits a single
+JSON document per invocation.
+
+Each ``_cmd_*`` handler returns an ``_Output`` and prints nothing.
+``run`` is the only code that writes to stdout (the JSON envelope or
+the text lines) and the only code that picks the exit code: 1 iff the
+output's ``all_match`` is False, 2 on any ``NoninvError`` or
+``OSError``, else 0.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
+from typing import Iterable, NamedTuple
 
 from .bounds import (
     check_composition_bound,
@@ -22,7 +29,6 @@ from .bounds import (
 )
 from .closed_form import (
     ChainSpec,
-    closed_multinomial_power_sum,
     expected_degree_chain,
     expected_degree_q,
     power_sum_stirling_form,
@@ -61,8 +67,46 @@ __all__ = ["run", "main", "MAX_STIRLING_OUTPUT_DIGITS"]
 MAX_STIRLING_OUTPUT_DIGITS = 10**8
 
 
+class _Output(NamedTuple):
+    """What one command prints: the JSON envelope's ``parameters`` and
+    ``results``, or else its text ``lines``, which may be a generator
+    that ``--json`` never runs.  ``all_match`` is None for a command
+    that checks nothing."""
+
+    parameters: dict
+    results: list
+    lines: Iterable[str]
+    all_match: bool | None = None
+
+
 # --------------------------------------------------------------------------
 # formatting helpers
+
+
+@cache
+def _power_of_ten(exponent: int) -> int:
+    # 10^4300 takes about 60 us to build, far more than a check
+    return 10**exponent
+
+
+def _check_printable(x: Fraction, decimals: int | None = None) -> None:
+    """Refuse a value that Python will not print in full: its numerator,
+    its denominator or, with ``decimals`` K, its expansion |x|*10^K
+    reaches 10^L, L = ``sys.get_int_max_str_digits()``."""
+    # Python before 3.10.7 has no such limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        return
+    bound = _power_of_ten(digits)
+    too_long = abs(x.numerator) >= bound or x.denominator >= bound
+    if decimals and not too_long:
+        # |x| > 10^-L here, so every K >= 2L reaches the bound (and with
+        # both parts below 10^L, rounding never carries |x|*10^K up to it)
+        too_long = abs(x) * 10 ** min(decimals, 2 * digits) >= bound
+    if too_long:
+        raise BudgetExceededError(
+            f"a value of more than {digits} digits is too long to print"
+        )
 
 
 def _frac_decimal(x: Fraction, places: int) -> str:
@@ -78,7 +122,10 @@ def _frac_decimal(x: Fraction, places: int) -> str:
 
 
 def _frac_json(x: Fraction, decimals: int | None = None) -> dict:
+    """JSON form of an exact value; every handler builds it for each
+    value before any text, so it is where over-long values are refused."""
     x = Fraction(x)
+    _check_printable(x, decimals)
     out = {"numerator": x.numerator, "denominator": x.denominator}
     out["decimal"] = _frac_decimal(x, decimals) if decimals else None
     return out
@@ -103,32 +150,49 @@ def _report_line(check: str, report: VerificationReport) -> str:
     )
 
 
-def _emit_envelope(args, parameters: dict, results: list,
-                   lines: Iterable[str], all_match: bool | None) -> None:
-    """Print the JSON envelope, or else each text line; ``lines`` may be
-    a generator, which ``--json`` never runs."""
-    if args.json:
-        envelope = {
-            "command": args.command_path,
-            "parameters": parameters,
-            "results": results,
-        }
-        if all_match is not None:
-            envelope["all_match"] = all_match
-        print(json.dumps(envelope, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _emit_value(args, parameters: dict, result: dict, value) -> int:
-    """Envelope of a command with one exact value; its text line is the
+def _value_output(args, parameters: dict, result: dict, value) -> _Output:
+    """Output of a command with one exact value; its text line is the
     reduced rational and, with ``--decimals K``, its expansion."""
     text = str(value)
     if args.decimals:
         text += f" ({_frac_decimal(value, args.decimals)})"
-    _emit_envelope(args, parameters, [result], [text], None)
-    return 0
+    return _Output(parameters, [result], [text])
+
+
+class _Checks:
+    """The verification reports of one command, in order, and the paths
+    it skipped, each with the reason."""
+
+    def __init__(self):
+        self.reports = []
+        self.skipped = []
+
+    def compare(self, name: str, params: dict, value, closed) -> None:
+        """Record path ``name``'s value against the closed form."""
+        self.reports.append(
+            (name, VerificationReport.compare(params, value, closed))
+        )
+
+    def compare_or_skip(self, name: str, params: dict, path, closed) -> None:
+        """Compare ``path()`` against the closed form, or record why the
+        path refused to run (an enumeration past its budget)."""
+        try:
+            value = path()
+        except NoninvError as exc:
+            self.skipped.append((name, str(exc)))
+        else:
+            self.compare(name, params, value, closed)
+
+    def output(self, parameters: dict) -> _Output:
+        """Reports first, then skipped paths; ``all_match`` covers the
+        reports."""
+        results = [_report_json(name, r) for name, r in self.reports]
+        lines = [_report_line(name, r) for name, r in self.reports]
+        for name, reason in self.skipped:
+            results.append({"check": name, "skipped": reason})
+            lines.append(f"check={name} skipped={reason}")
+        all_match = all(r.match for _, r in self.reports)
+        return _Output(parameters, results, lines, all_match)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -141,13 +205,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# command handlers
+# command handlers; each returns its _Output and prints nothing
 
 
-def _cmd_deg(args) -> int:
+def _cmd_deg(args) -> _Output:
     f = load_function(args.file)
     value = f.degree_q(args.q)
-    return _emit_value(
+    return _value_output(
         args,
         {"file": args.file, "q": args.q},
         {
@@ -161,10 +225,10 @@ def _cmd_deg(args) -> int:
     )
 
 
-def _cmd_expected(args) -> int:
+def _cmd_expected(args) -> _Output:
     spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     value = expected_degree_chain(spec)
-    return _emit_value(
+    return _value_output(
         args,
         {"sizes": list(spec.sizes)},
         {"expected_degree": _frac_json(value, args.decimals)},
@@ -172,9 +236,9 @@ def _cmd_expected(args) -> int:
     )
 
 
-def _cmd_expected_q(args) -> int:
+def _cmd_expected_q(args) -> _Output:
     value = expected_degree_q(args.n, args.m, args.q)
-    return _emit_value(
+    return _value_output(
         args,
         {"n": args.n, "m": args.m, "q": args.q},
         {"expected_degree_q": _frac_json(value, args.decimals)},
@@ -182,119 +246,69 @@ def _cmd_expected_q(args) -> int:
     )
 
 
-def _finish_verify(args, parameters, named_reports, skipped) -> int:
-    all_match = all(r.match for _, r in named_reports)
-    results = [_report_json(name, r) for name, r in named_reports]
-    lines = [_report_line(name, r) for name, r in named_reports]
-    for name, reason in skipped:
-        results.append({"check": name, "skipped": reason})
-        lines.append(f"check={name} skipped={reason}")
-    _emit_envelope(args, parameters, results, lines, all_match)
-    return 0 if all_match else 1
-
-
-def _cmd_verify_chain(args) -> int:
+def _cmd_verify_chain(args) -> _Output:
     spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     budget = EnumerationBudget(args.budget)
     closed = expected_degree_chain(spec)
     params = {"sizes": ",".join(str(s) for s in spec.sizes)}
-    reports = []
-    skipped = []
-    try:
-        brute = brute_expected_degree_chain(spec, budget)
-        reports.append(
-            (
-                "chain-enumeration",
-                VerificationReport.compare(params, brute, closed),
-            )
-        )
-    except NoninvError as exc:
-        skipped.append(("chain-enumeration", str(exc)))
-    nested = multinomial_expected_degree_chain(spec, budget)
-    reports.append(
-        (
-            "chain-multinomial",
-            VerificationReport.compare(params, nested, closed),
-        )
+    checks = _Checks()
+    checks.compare_or_skip(
+        "chain-enumeration", params,
+        lambda: brute_expected_degree_chain(spec, budget), closed,
     )
-    return _finish_verify(args, {"sizes": list(spec.sizes)}, reports, skipped)
+    checks.compare(
+        "chain-multinomial", params,
+        multinomial_expected_degree_chain(spec, budget), closed,
+    )
+    return checks.output({"sizes": list(spec.sizes)})
 
 
-def _cmd_verify_degq(args) -> int:
+def _cmd_verify_degq(args) -> _Output:
     budget = EnumerationBudget(args.budget)
     n, m = args.n, args.m
-    reports = []
-    skipped = []
+    checks = _Checks()
     for q in range(1, args.qmax + 1):
         params = {"n": n, "m": m, "q": q}
         closed = expected_degree_q(n, m, q)
-        try:
-            brute = brute_expected_degree_q(n, m, q, budget)
-            reports.append(
-                (
-                    "degq-enumeration",
-                    VerificationReport.compare(params, brute, closed),
-                )
-            )
-        except NoninvError as exc:
-            skipped.append(("degq-enumeration", str(exc)))
-        power = multinomial_power_sum(n, m, q, budget)
-        reports.append(
-            (
-                "degq-power-sum",
-                VerificationReport.compare(
-                    params, power, n * m**n * closed
-                ),
-            )
+        checks.compare_or_skip(
+            "degq-enumeration", params,
+            lambda: brute_expected_degree_q(n, m, q, budget), closed,
         )
-    return _finish_verify(
-        args, {"n": n, "m": m, "qmax": args.qmax}, reports, skipped
-    )
+        checks.compare(
+            "degq-power-sum", params,
+            multinomial_power_sum(n, m, q, budget), n * m**n * closed,
+        )
+    return checks.output({"n": n, "m": m, "qmax": args.qmax})
 
 
-def _cmd_verify_en(args) -> int:
+def _cmd_verify_en(args) -> _Output:
     parts = _parse_ints(args.parts, "parts")
-    report = check_square_moment_identity(args.m, parts)
-    return _finish_verify(
-        args,
-        {"m": args.m, "parts": list(parts)},
-        [("square-moment", report)],
-        [],
+    checks = _Checks()
+    checks.reports.append(
+        ("square-moment", check_square_moment_identity(args.m, parts))
     )
+    return checks.output({"m": args.m, "parts": list(parts)})
 
 
-def _cmd_verify_corollary(args) -> int:
+def _cmd_verify_corollary(args) -> _Output:
     budget = EnumerationBudget(args.budget)
     # the identity sum at q multiplies q(q+1)/2 pairs of Stirling numbers
     qmax = args.qmax
     budget.check(qmax * (qmax + 1) * (qmax + 2) // 6,
                  f"Stirling identity sweep to q={qmax}")
     check_stirling_rows(qmax)
-    reports = []
-    for q in range(1, args.qmax + 1):
-        reports.append(
-            (
-                "stirling-identity",
-                VerificationReport.compare(
-                    {"q": q}, stirling_identity_sum(q), 1
-                ),
-            )
-        )
+    checks = _Checks()
+    for q in range(1, qmax + 1):
+        checks.compare("stirling-identity", {"q": q},
+                       stirling_identity_sum(q), 1)
     for n in range(1, args.nmax + 1):
-        for q in range(1, min(args.qmax, 6) + 1):
-            reports.append(
-                (
-                    "power-sum-form",
-                    VerificationReport.compare(
-                        {"n": n, "q": q},
-                        multinomial_power_sum(n, n, q, budget),
-                        power_sum_stirling_form(n, q),
-                    ),
-                )
+        for q in range(1, min(qmax, 6) + 1):
+            checks.compare(
+                "power-sum-form", {"n": n, "q": q},
+                multinomial_power_sum(n, n, q, budget),
+                power_sum_stirling_form(n, q),
             )
-    return _finish_verify(
-        args, {"qmax": args.qmax, "nmax": args.nmax}, reports, []
-    )
+    return checks.output({"qmax": qmax, "nmax": args.nmax})
 
 
 def _bound_report_json(report) -> dict:
@@ -309,10 +323,10 @@ def _bound_report_json(report) -> dict:
     }
 
 
-def _bound_report_line(label: str, report) -> str:
+def _bound_report_line(report) -> str:
     new_sq, old_sq = report.old_bound_squared_scaled
     return (
-        f"{label} deg_composition={report.deg_composition} "
+        f"bound deg_composition={report.deg_composition} "
         f"new_bound={report.new_bound} "
         f"new_bound_sq={new_sq} old_bound_sq={old_sq} "
         f"new_holds={'true' if report.new_holds else 'false'} "
@@ -320,7 +334,7 @@ def _bound_report_line(label: str, report) -> str:
     )
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> _Output:
     if args.exhaustive:
         n = args.n
         if n is None:
@@ -333,24 +347,14 @@ def _cmd_bounds(args) -> int:
         pairs, new_violations, chain_violations = sweep_endofunction_pairs(
             list(enumerate_functions(n, n))
         )
-        ok = new_violations == 0 and chain_violations == 0
-        _emit_envelope(
-            args,
+        return _Output(
             {"n": n, "exhaustive": True},
-            [
-                {
-                    "pairs": pairs,
-                    "new_violations": new_violations,
-                    "chain_violations": chain_violations,
-                }
-            ],
-            [
-                f"pairs={pairs} new_violations={new_violations} "
-                f"chain_violations={chain_violations}"
-            ],
-            ok,
+            [{"pairs": pairs, "new_violations": new_violations,
+              "chain_violations": chain_violations}],
+            [f"pairs={pairs} new_violations={new_violations} "
+             f"chain_violations={chain_violations}"],
+            new_violations == 0 and chain_violations == 0,
         )
-        return 0 if ok else 1
     if not args.outer or not args.inner:
         raise NoninvError("provide OUTER and INNER function files, "
                           "or --exhaustive --n N")
@@ -360,29 +364,24 @@ def _cmd_bounds(args) -> int:
         f.domain_size == f.codomain_size == g.domain_size == g.codomain_size
     )
     report = compare_bounds(f, g) if endo else check_composition_bound(f, g)
-    ok = report.new_holds and (report.chain_holds or not endo)
-    _emit_envelope(
-        args,
+    return _Output(
         {"outer": args.outer, "inner": args.inner},
         [_bound_report_json(report)],
-        [_bound_report_line("bound", report)],
-        ok,
+        [_bound_report_line(report)],
+        report.new_holds and (report.chain_holds or not endo),
     )
-    return 0 if ok else 1
 
 
-def _cmd_stirling(args) -> int:
+def _cmd_stirling(args) -> _Output:
     if args.transform is not None:
         seq = list(_parse_ints(args.transform, "parts"))
         out = stirling_transform(seq)
-        _emit_envelope(
-            args,
+        _check_printable(Fraction(max(map(abs, out))))
+        return _Output(
             {"transform": seq},
             [{"transformed": out}],
             [" ".join(str(v) for v in out)],
-            None,
         )
-        return 0
     rows = args.rows
     check_stirling_rows(rows)
     # every entry of rows 0..R is at most R!, which bounds the digits
@@ -402,15 +401,12 @@ def _cmd_stirling(args) -> int:
                 [-v if (n - k) % 2 else v for k, v in enumerate(row)]
                 for n, row in enumerate(triangle)
             ]
-    _emit_envelope(
-        args,
+    return _Output(
         {"kind": args.kind, "rows": rows},
         [{"triangle": triangle}],
         (f"{n}: " + " ".join(map(str, row))
          for n, row in enumerate(triangle)),
-        None,
     )
-    return 0
 
 
 def _estimate_json(report) -> dict:
@@ -420,11 +416,8 @@ def _estimate_json(report) -> dict:
         "samples": report.samples,
         "seed": report.seed,
     }
-    out["closed_form"] = (
-        _frac_json(report.closed_form)
-        if report.closed_form is not None
-        else None
-    )
+    closed = report.closed_form
+    out["closed_form"] = None if closed is None else _frac_json(closed)
     out["z_score"] = report.z_score
     if report.theta_ratio is not None:
         out["theta_ratio"] = report.theta_ratio
@@ -432,44 +425,31 @@ def _estimate_json(report) -> dict:
     return out
 
 
-def _cmd_simulate_chain(args) -> int:
+def _cmd_simulate_chain(args) -> _Output:
     spec = ChainSpec(_parse_ints(args.sizes, "sizes"))
     config = SamplerConfig(seed=args.seed, samples=args.samples, sizes=spec)
     report = estimate_expected_degree_chain(config)
     z = "none" if report.z_score is None else repr(report.z_score)
-    _emit_envelope(
-        args,
-        {
-            "sizes": list(spec.sizes),
-            "samples": args.samples,
-            "seed": args.seed,
-        },
+    return _Output(
+        {"sizes": list(spec.sizes), "samples": args.samples,
+         "seed": args.seed},
         [_estimate_json(report)],
-        [
-            f"mean={report.mean!r} std_error={report.std_error!r} "
-            f"closed={report.closed_form} z={z} samples={report.samples} "
-            f"seed={report.seed}"
-        ],
-        None,
+        [f"mean={report.mean!r} std_error={report.std_error!r} "
+         f"closed={report.closed_form} z={z} samples={report.samples} "
+         f"seed={report.seed}"],
     )
-    return 0
 
 
-def _cmd_simulate_maxfiber(args) -> int:
+def _cmd_simulate_maxfiber(args) -> _Output:
     config = SamplerConfig(seed=args.seed, samples=args.samples)
     report = estimate_max_fiber_mean(args.n, config)
-    _emit_envelope(
-        args,
+    return _Output(
         {"n": args.n, "samples": args.samples, "seed": args.seed},
         [_estimate_json(report)],
-        [
-            f"mean={report.mean!r} std_error={report.std_error!r} "
-            f"theta_ratio={report.theta_ratio!r} "
-            f"samples={report.samples} seed={report.seed}"
-        ],
-        None,
+        [f"mean={report.mean!r} std_error={report.std_error!r} "
+         f"theta_ratio={report.theta_ratio!r} "
+         f"samples={report.samples} seed={report.seed}"],
     )
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -505,6 +485,15 @@ def _add_common(parser, decimals=False, budget=False):
         )
 
 
+def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``handler``; the JSON envelope's
+    ``command`` is the parser's prog without the leading ``noninv``."""
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler,
+                   command_path=p.prog.removeprefix("noninv "))
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noninv",
@@ -514,72 +503,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("deg", help="degree of a function read from a file")
+    p = _command(sub, "deg", _cmd_deg,
+                 help="degree of a function read from a file")
     p.add_argument("--file", required=True,
                    help="function file (text 'n m : images' one-based, "
                    "or JSON zero-based)")
     p.add_argument("--q", type=int, default=2,
                    help="fiber power (default 2, the degree)")
     _add_common(p, decimals=True)
-    p.set_defaults(handler=_cmd_deg, command_path="deg")
 
-    p = sub.add_parser("expected",
-                       help="exact expected degree of a composition chain")
+    p = _command(sub, "expected", _cmd_expected,
+                 help="exact expected degree of a composition chain")
     p.add_argument("--sizes", required=True,
                    help="comma-separated set sizes n1,...,n_{t+1}")
     _add_common(p, decimals=True)
-    p.set_defaults(handler=_cmd_expected, command_path="expected")
 
-    p = sub.add_parser("expected-q",
-                       help="exact expected generalized degree")
+    p = _command(sub, "expected-q", _cmd_expected_q,
+                 help="exact expected generalized degree")
     p.add_argument("--n", type=int, required=True, help="domain size")
     p.add_argument("--m", type=int, required=True, help="codomain size")
     p.add_argument("--q", type=int, required=True, help="fiber power")
     _add_common(p, decimals=True)
-    p.set_defaults(handler=_cmd_expected_q, command_path="expected-q")
 
     v = sub.add_parser("verify",
                        help="check closed forms against independent paths")
     vsub = v.add_subparsers(dest="verify_command", required=True)
 
-    p = vsub.add_parser("chain", help="chain expectation, three paths")
+    p = _command(vsub, "chain", _cmd_verify_chain,
+                 help="chain expectation, three paths")
     p.add_argument("--sizes", required=True)
     _add_common(p, budget=True)
-    p.set_defaults(handler=_cmd_verify_chain, command_path="verify chain")
 
-    p = vsub.add_parser("degq", help="generalized-degree expectation")
+    p = _command(vsub, "degq", _cmd_verify_degq,
+                 help="generalized-degree expectation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--qmax", type=_int_at_least(1), default=6)
     _add_common(p, budget=True)
-    p.set_defaults(handler=_cmd_verify_degq, command_path="verify degq")
 
-    p = vsub.add_parser("en", help="square-moment multinomial identity")
+    p = _command(vsub, "en", _cmd_verify_en,
+                 help="square-moment multinomial identity")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--parts", required=True,
                    help="comma-separated nonnegative weights")
     _add_common(p)
-    p.set_defaults(handler=_cmd_verify_en, command_path="verify en")
 
-    p = vsub.add_parser("corollary",
-                        help="Stirling identity sweep and power-sum form")
+    p = _command(vsub, "corollary", _cmd_verify_corollary,
+                 help="Stirling identity sweep and power-sum form")
     p.add_argument("--qmax", type=_int_at_least(1), default=30)
     p.add_argument("--nmax", type=_int_at_least(0), default=5)
     _add_common(p, budget=True)
-    p.set_defaults(handler=_cmd_verify_corollary,
-                   command_path="verify corollary")
 
-    p = sub.add_parser("stirling",
-                       help="print Stirling triangles or a transform")
+    p = _command(sub, "stirling", _cmd_stirling,
+                 help="print Stirling triangles or a transform")
     p.add_argument("--kind", choices=["second", "first", "first-signed"],
                    default="second")
     p.add_argument("--rows", type=_int_at_least(0), default=10)
     p.add_argument("--transform", default=None,
                    help="comma-separated sequence to transform")
     _add_common(p)
-    p.set_defaults(handler=_cmd_stirling, command_path="stirling")
 
-    p = sub.add_parser("bounds", help="composition bound reports")
+    p = _command(sub, "bounds", _cmd_bounds, help="composition bound reports")
     p.add_argument("outer", nargs="?", default=None,
                    help="file for the outer function f of f(g(x))")
     p.add_argument("inner", nargs="?", default=None,
@@ -588,43 +572,53 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="sweep all endofunction pairs on an n-set")
     p.add_argument("--n", type=int, default=None)
     _add_common(p)
-    p.set_defaults(handler=_cmd_bounds, command_path="bounds")
 
     s = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
     ssub = s.add_subparsers(dest="simulate_command", required=True)
 
-    p = ssub.add_parser("chain", help="sample random composition chains")
+    p = _command(ssub, "chain", _cmd_simulate_chain,
+                 help="sample random composition chains")
     p.add_argument("--sizes", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_simulate_chain,
-                   command_path="simulate chain")
 
-    p = ssub.add_parser("maxfiber",
-                        help="sample max fiber sizes of endofunctions")
+    p = _command(ssub, "maxfiber", _cmd_simulate_maxfiber,
+                 help="sample max fiber sizes of endofunctions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_simulate_maxfiber,
-                   command_path="simulate maxfiber")
 
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv, run the command and print its output; returns the
+    process exit code.  The only code that writes to stdout."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        out = args.handler(args)
+        if args.json:
+            envelope = {
+                "command": args.command_path,
+                "parameters": out.parameters,
+                "results": out.results,
+            }
+            if out.all_match is not None:
+                envelope["all_match"] = out.all_match
+            print(json.dumps(envelope, indent=2))
+        else:
+            for line in out.lines:
+                print(line)
     except (NoninvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if out.all_match is False else 0
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ class LengthMismatchError(NoninvError):
 
 
 class OutOfRangeImageError(NoninvError):
-    """An image entry falls outside [0, codomain_size)."""
+    """An image entry is not an integer in [0, codomain_size)."""
 
 
 class SizeMismatchError(NoninvError):

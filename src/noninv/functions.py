@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
     EmptySetError,
@@ -83,8 +83,14 @@ class FiniteFunction:
             raise LengthMismatchError(
                 f"expected {self.domain_size} images, got {len(images)}"
             )
-        if not (0 <= min(images) and max(images) < self.codomain_size):
+        # exact types: a bool or a float is not an image
+        if not (set(map(type, images)) <= {int} and 0 <= min(images)
+                and max(images) < self.codomain_size):
             for x, y in enumerate(images):
+                if type(y) is not int:
+                    raise OutOfRangeImageError(
+                        f"image of {x} is {y!r}, not an integer"
+                    )
                 if not 0 <= y < self.codomain_size:
                     raise OutOfRangeImageError(
                         f"image of {x} is {y}, outside "
@@ -233,19 +239,18 @@ def parse_function_text(text: str) -> FiniteFunction:
             f"expected {n} images, got {count}", lineno, col
         )
     try:
-        # zero-based images; n >= 1, so min and max are defined
-        images = tuple(map(sub, map(int, islice(tokens, 3, None)), repeat(1)))
-        in_range = 0 <= min(images) and max(images) < m
-    except ValueError:
-        in_range = False
-    if not in_range:
-        _raise_first_bad_image(line, lineno, tokens, m)
-    return FiniteFunction(n, m, images)
+        # zero-based images, range-checked by the constructor
+        return FiniteFunction(
+            n, m, tuple(map(sub, map(int, islice(tokens, 3, None)), repeat(1)))
+        )
+    except ValueError:  # a token int() refuses, or an image out of range
+        pass
+    _raise_first_bad_image(line, lineno, tokens, m)
 
 
 def _raise_first_bad_image(
     line: str, lineno: int, tokens: list[str], m: int
-) -> None:
+) -> NoReturn:
     """Raise the error of the first image token that is not an integer
     in 1..m, at its column."""
     for idx in range(3, len(tokens)):
@@ -294,21 +299,24 @@ def parse_function_json(text: str) -> FiniteFunction:
         raise FunctionFileError(
             f"expected {n} images, got {len(images)}", 1, 1
         )
-    if not (0 <= min(images) and max(images) < m):
-        for i, v in enumerate(images):
-            if v == m:
-                raise FunctionFileError(
-                    f"image {v} at index {i} equals the codomain size; "
-                    "JSON images are zero-based (one-based images belong "
-                    "in the text format)",
-                    1,
-                    1,
-                )
-            if not 0 <= v < m:
-                raise FunctionFileError(
-                    f"image {v} at index {i} outside [0, {m})", 1, 1
-                )
-    return FiniteFunction(n, m, tuple(images))
+    try:
+        return FiniteFunction(n, m, tuple(images))
+    except OutOfRangeImageError:
+        pass
+    # some image is out of range: name the first
+    for i, v in enumerate(images):
+        if v == m:
+            raise FunctionFileError(
+                f"image {v} at index {i} equals the codomain size; "
+                "JSON images are zero-based (one-based images belong "
+                "in the text format)",
+                1,
+                1,
+            )
+        if not 0 <= v < m:
+            raise FunctionFileError(
+                f"image {v} at index {i} outside [0, {m})", 1, 1
+            )
 
 
 def load_function(path: str) -> FiniteFunction:

@@ -9,7 +9,8 @@ fully specified by the constants below, so the stream is reproducible
 across platforms and implementations.
 
 Uniform integers below a bound are drawn by rejection (words >=
-floor(2^64 / bound) * bound are discarded), so there is no modulo bias.
+floor(2^64 / bound) * bound are discarded), so there is no modulo bias;
+bounds above 2^64, which no word could meet, are refused.
 
 A chain sample draws f_1 at every point of X_1 = 0..n_1-1, in order
 (n_1 draws below n_2).  Each later f_s is drawn only at the image points
@@ -113,7 +114,12 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     """``count`` uniform integers in [0, bound) by rejection, drawn from
     the SplitMix64 stream at ``state``; returns the advanced state and
     the draws.  The one rejection loop of the module: every sampler
-    calls it, so all of them consume the stream word for word alike."""
+    calls it, so all of them consume the stream word for word alike.
+    A bound above 2^64 is refused: no word would be accepted."""
+    if bound > 1 << 64:
+        raise InvalidSizeError(
+            f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
+        )
     threshold = ((1 << 64) // bound) * bound
     draws = [0] * count
     for i in range(count):

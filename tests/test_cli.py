@@ -1,13 +1,19 @@
 """CLI surface: dispatch, formats, exit codes."""
 
+import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from noninv import (
     ChainSpec,
+    VerificationReport,
+    check_square_moment_identity,
+    compare_bounds,
     expected_degree_chain,
+    expected_degree_q,
     montecarlo,
     stirling1_signed,
 )
@@ -397,6 +403,17 @@ class TestSimulate:
             assert code == 0
             assert json.loads(out)["results"][0]["stream_contract"] == 2
 
+    def test_set_size_above_one_word(self, capsys, deadline):
+        # a bound above 2^64 would reject every word: refused at the
+        # first draw
+        code, out, err = invoke(
+            capsys, "simulate", "chain", "--sizes", f"1,{2**64 + 1}",
+            "--samples", "1", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: bound must be <= 2^64 (one SplitMix64 " \
+            f"word), got {2**64 + 1}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -425,3 +442,95 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(["expected"]) == 2
+
+
+def _failing_square_moment(m, parts):
+    report = check_square_moment_identity(m, parts)
+    return VerificationReport.compare(
+        report.parameters, report.oracle_value, report.closed_value + 1
+    )
+
+
+class TestMismatch:
+    """A failed check exits 1 and says so, in text and in JSON: each case
+    patches the name the handler calls so that one check fails."""
+
+    CASES = [
+        ("expected_degree_chain",
+         lambda spec: expected_degree_chain(spec) + 1,
+         ["verify", "chain", "--sizes", "2,2,2"], "match=false"),
+        ("expected_degree_q",
+         lambda n, m, q: expected_degree_q(n, m, q) + 1,
+         ["verify", "degq", "--n", "2", "--m", "3", "--qmax", "2"],
+         "match=false"),
+        ("check_square_moment_identity", _failing_square_moment,
+         ["verify", "en", "--m", "3", "--parts", "1,2"], "match=false"),
+        ("stirling_identity_sum", lambda q: 2,
+         ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
+         "match=false"),
+        ("compare_bounds",
+         lambda f, g: dataclasses.replace(compare_bounds(f, g),
+                                          new_holds=False),
+         ["bounds", "OUTER", "INNER"], "new_holds=false"),
+    ]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        outer, inner = tmp_path / "f.fn", tmp_path / "g.fn"
+        outer.write_text("3 3 : 1 1 2\n")
+        inner.write_text("3 3 : 1 2 2\n")
+        return {"OUTER": str(outer), "INNER": str(inner)}
+
+    @pytest.mark.parametrize("name,fake,argv,marker", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_exit_1(self, capsys, monkeypatch, files, name, fake, argv,
+                    marker):
+        argv = [files.get(a, a) for a in argv]
+        monkeypatch.setattr(cli, name, fake)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and err == ""
+        assert marker in out
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert code == 1 and err == ""
+        assert json.loads(out)["all_match"] is False
+
+
+class TestTooLongToPrint:
+    """A value Python would refuse to print (more than
+    sys.get_int_max_str_digits() digits) exits 2 with one error line."""
+
+    ERROR = "error: a value of more than 4300 digits is too long to print\n"
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [
+        ["expected-q", "--n", "10000000000", "--m", "3", "--q", "600"],
+        ["expected", "--sizes",
+         ",".join(["10000000000"] + ["1" + "0" * 20] * 250)],
+        ["simulate", "chain", "--sizes",
+         ",".join(["2"] + ["1" + "0" * 19] * 250),
+         "--samples", "2", "--seed", "1"],
+        ["expected", "--sizes", "2,2", "--decimals", "5000"],
+        ["expected", "--sizes", "2,2", "--decimals", "100000000"],
+        ["stirling", "--transform", ",".join(["9" * 4299] * 10)],
+    ], ids=["expected-q", "expected", "simulate", "decimals",
+            "huge-decimals", "transform"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_refused(self, capsys, deadline, argv, mode):
+        code, out, err = invoke(capsys, *argv, *mode)
+        assert (code, out, err) == (2, "", self.ERROR)
+
+    def test_expansion_at_the_limit(self, capsys):
+        # 3/2 * 10^4299 has 4300 digits and prints; 3/2 * 10^4300 has 4301
+        code, out, _ = invoke(capsys, "expected", "--sizes", "2,2",
+                              "--decimals", "4299")
+        assert code == 0
+        assert out == "3/2 (1.5" + "0" * 4298 + ")\n"
+        code, out, err = invoke(capsys, "expected", "--sizes", "2,2",
+                                "--decimals", "4300")
+        assert (code, out, err) == (2, "", self.ERROR)

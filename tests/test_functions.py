@@ -84,6 +84,17 @@ class TestConstruction:
             f"image of {x} is {images[x]}, outside [0, 5)"
         )
 
+    @pytest.mark.parametrize("images,bad", [
+        ([0, 0.5], 1), ([float("nan"), 0], 0), ([0, True], 1),
+        ([1, 0, 1.0], 2), (["0", 1], 0),
+    ])
+    def test_non_integer_image_names_first_index(self, images, bad):
+        with pytest.raises(OutOfRangeImageError) as exc:
+            make_function(len(images), 2, images)
+        assert str(exc.value) == (
+            f"image of {bad} is {images[bad]!r}, not an integer"
+        )
+
 
 class TestFibers:
     def test_basic(self):

@@ -166,7 +166,7 @@ class TestSplitMix64:
             for _ in range(200):
                 assert 0 <= stream.randbelow(bound) < bound
 
-    @pytest.mark.parametrize("bound", [1, 2, 7, 10**9, 2**63 + 5])
+    @pytest.mark.parametrize("bound", [1, 2, 7, 10**9, 2**63 + 5, 2**64])
     def test_randbelow_matches_reference_rejection(self, bound):
         # word-by-word rejection on next_word: same values, same state
         stream, reference = SplitMix64(77), SplitMix64(77)
@@ -181,6 +181,15 @@ class TestSplitMix64:
     def test_randbelow_guard(self):
         with pytest.raises(InvalidSizeError):
             SplitMix64(0).randbelow(0)
+
+    @pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 10**30])
+    def test_bound_above_one_word_refused(self, deadline, bound):
+        # no word is below floor(2^64 / bound) * bound = 0: refused, not
+        # drawn for ever, and the stream does not move
+        stream = SplitMix64(1)
+        with pytest.raises(InvalidSizeError, match="must be <= 2\\^64"):
+            stream.randbelow(bound)
+        assert stream._state == 1
 
     def test_derived_streams_differ(self):
         words = {derived_stream(42, i).next_word() for i in range(100)}

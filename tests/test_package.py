@@ -1,5 +1,6 @@
-"""Package-wide properties: standard-library imports only, and the
-benchmark tracer still finds and wraps every layer it patches."""
+"""Package-wide properties: standard-library imports only, every
+import used, and the benchmark tracer still finds and wraps every layer
+it patches."""
 
 import ast
 import json
@@ -26,6 +27,25 @@ def test_imports_are_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    # __init__.py imports to re-export; __future__ imports are flags
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"unused: {sorted(imported - used)}"
 
 
 @pytest.fixture(scope="module")
