@@ -8,18 +8,25 @@ golden-gamma constant, finalized with two xor-multiply rounds.  It is
 fully specified by the constants below, so the stream is reproducible
 across platforms and implementations.
 
-Uniform integers below a bound are drawn by rejection (words >=
-floor(2^64 / bound) * bound are discarded), so there is no modulo bias;
-bounds above 2^64, which no word could meet, are refused.
+Uniform integers below a bound b are drawn by rejection, several from
+each word.  Let k be the largest number of digits with b^k <= 2^64 (at
+most 64, as for b = 2).  A word z is accepted when z < floor(2^64 /
+b^k) * b^k, so z mod b^k is uniform and its k base-b digits are k
+independent uniform draws, read low digit first.  Each draw call starts
+on a fresh word and reads from its last word only the digits it still
+needs.  Bounds above 2^64, which no word could meet, are refused.  For
+b > 2^32, k = 1 and each draw takes one word, as in version 2.
 
-A chain sample draws f_1 at every point of X_1 = 0..n_1-1, in order
-(n_1 draws below n_2).  Each later f_s is drawn only at the image points
-of the partial composition g = f_{s-1} o ... o f_1, one draw below
-n_{s+1} per point, in order of first appearance of g(x) as x runs over
-0..n_1-1: the composition's degree depends on f_s only there.  A
-max-fiber sample draws its n images in order.  This is version
-``STREAM_CONTRACT`` (2) of the contract; version 1 drew every f_s at all
-of X_s, so chains of more than one map gave other reports.
+A chain sample draws f_1 at every point of X_1 = 0..n_1-1, in order,
+in one call of n_1 draws below n_2.  Each later f_s is drawn only at
+the image points of the partial composition g = f_{s-1} o ... o f_1, in
+one call of one draw below n_{s+1} per point, in order of first
+appearance of g(x) as x runs over 0..n_1-1: the composition's degree
+depends on f_s only there.  A max-fiber sample draws its n images in one call.
+This is version ``STREAM_CONTRACT`` (3) of the contract.  Version 2 took
+one word per draw: on 50,50,50,50 a chain sample read about 105 words,
+where it now reads about 14 (11 draws per word below 50, about a fifth
+of the words rejected).  Version 1 drew every f_s at all of X_s.
 
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i uses
 its own SplitMix64 stream whose initial state is the i-th output word of
@@ -36,9 +43,10 @@ reported mean, standard error and z-score.
 Each run draws at most ``MAX_DRAWS`` values: samples times the
 per-sample bound n_1 + sum over s = 2..t of min(n_1, n_s) for a chain
 (the image of g has at most min(n_1, n_s) points), or samples times n
-for max fibers.  A run whose bound exceeds the cap is refused before
-any drawing.  A sample draws f_1 (or its max-fiber map) in chunks and
-counts them as it goes, so it holds its fiber counts, not its draws.
+for max fibers.  The cap counts draws, not words.  A run whose bound
+exceeds the cap is refused before any drawing.  A sample draws f_1 (or
+its max-fiber map) in chunks cut between words and counts them as it
+goes, so it holds its fiber counts, not its draws.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
@@ -74,9 +83,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 BLOCK_SAMPLES = 1024
-STREAM_CONTRACT = 2
+STREAM_CONTRACT = 3
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
-# draws); at about 1.4M draws/s (CPython 3.11, one core) about 70 s
+# draws).  _draw makes about 4.3M draws/s below 50, 2.4M below 10^4 and
+# 0.8M above 2^32, one per word (CPython 3.11.7, one core of a 2-core
+# VM); chain sampling on 50,50,50,50 runs at about 2M draws/s with its
+# counting, so a run at the cap takes about 50 s
 MAX_DRAWS = 10**8
 # the draws of f_1 in a sample are made and counted this many at a time,
 # so a sample holds its fiber counts and one chunk, not n draws
@@ -110,40 +122,66 @@ class SplitMix64:
         return value
 
 
+@lru_cache(maxsize=1024)
+def _word_digits(bound: int) -> tuple[int, int]:
+    """Digits per word and acceptance threshold of ``_draw`` for a bound
+    b: the largest k with b^k <= 2^64 (at most 64, the k of b = 2; every
+    power of 1 is 1), and floor(2^64 / b^k) * b^k."""
+    k, power = 1, bound
+    while k < 64 and power * bound <= 1 << 64:
+        k += 1
+        power *= bound
+    return k, ((1 << 64) // power) * power
+
+
 def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     """``count`` uniform integers in [0, bound) by rejection, drawn from
     the SplitMix64 stream at ``state``; returns the advanced state and
     the draws.  The one rejection loop of the module: every sampler
     calls it, so all of them consume the stream word for word alike.
-    A bound above 2^64 is refused: no word would be accepted."""
+
+    A word z is accepted when z < floor(2^64 / b^k) * b^k, so z mod b^k
+    is uniform; its k base-b digits, low digit first, are k independent
+    draws.  The call reads only the digits it still needs from its last
+    word and drops the rest; the next call starts on a fresh word.  A
+    bound above 2^64 is refused: no word would be accepted."""
     if bound > 1 << 64:
         raise InvalidSizeError(
             f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
         )
-    threshold = ((1 << 64) // bound) * bound
-    draws = [0] * count
-    for i in range(count):
-        while True:
-            # next_word and _mix64, inlined: this loop is the sampler's cost
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
-            if z < threshold:
-                draws[i] = z % bound
-                break
+    k, threshold = _word_digits(bound)
+    draws: list[int] = []
+    append = draws.append
+    more_digits = range(k - 1)
+    need = count
+    while need > 0:
+        # next_word and _mix64, inlined: this loop is the sampler's cost
+        state = (state + _GAMMA) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        z ^= z >> 31
+        if z < threshold:
+            append(z % bound)
+            need -= k
+            # the word's other digits; the last word's only up to count
+            for _ in more_digits if need >= 0 else range(k - 1 + need):
+                z //= bound
+                append(z % bound)
     return state, draws
 
 
 def _draw_chunks(
     stream: SplitMix64, bound: int, count: int
 ) -> Iterator[list[int]]:
-    """``count`` draws below ``bound`` from ``stream`` in lists of at most
-    ``_DRAW_CHUNK``: the same words in the same order as one ``_draw``
-    call, without holding them all at once."""
-    for start in range(0, count, _DRAW_CHUNK):
+    """``count`` draws below ``bound`` from ``stream`` in lists of about
+    ``_DRAW_CHUNK`` (a whole number of words' digits, at least one word):
+    the same words in the same order as one ``_draw`` call, without
+    holding them all at once."""
+    k = _word_digits(bound)[0]
+    size = max(_DRAW_CHUNK // k, 1) * k
+    for start in range(0, count, size):
         stream._state, draws = _draw(
-            stream._state, bound, min(_DRAW_CHUNK, count - start)
+            stream._state, bound, min(size, count - start)
         )
         yield draws
 

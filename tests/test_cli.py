@@ -401,7 +401,17 @@ class TestSimulate:
                 "--json",
             )
             assert code == 0
-            assert json.loads(out)["results"][0]["stream_contract"] == 2
+            assert json.loads(out)["results"][0]["stream_contract"] == 3
+
+    def test_chain_through_a_one_point_set(self, capsys, deadline):
+        # bound 1: every word is accepted and holds 64 zero digits
+        code, out, _ = invoke(
+            capsys, "simulate", "chain", "--sizes", "3,1,3",
+            "--samples", "50", "--seed", "1", "--json",
+        )
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        assert result["mean"] == 3.0 and result["std_error"] == 0.0
 
     def test_set_size_above_one_word(self, capsys, deadline):
         # a bound above 2^64 would reject every word: refused at the

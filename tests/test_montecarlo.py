@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -33,18 +33,40 @@ def words_between(start: int, end: int) -> int:
     return ((end - start) * _GAMMA_INVERSE) % (1 << 64)
 
 
+def reference_digits(bound):
+    """Digits per word of stream contract 3: the largest k <= 64 with
+    bound^k <= 2^64 (every power of 1 fits, so 1 takes 64)."""
+    return max(k for k in range(1, 65) if bound**k <= 2**64)
+
+
+def reference_draw(stream, bound, count):
+    """``count`` draws below ``bound`` under stream contract 3, from
+    ``next_word``, ``%`` and ``//`` alone: a word is accepted below the
+    largest multiple of bound^k that fits in 64 bits, and gives its base-
+    ``bound`` digits low digit first, as many as are still needed."""
+    k = reference_digits(bound)
+    threshold = 2**64 // bound**k * bound**k
+    draws = []
+    while len(draws) < count:
+        word = stream.next_word()
+        if word < threshold:
+            for j in range(min(k, count - len(draws))):
+                draws.append(word // bound**j % bound)
+    return draws
+
+
 def reference_chain_block(sizes, seed, block, count):
-    """Stream contract 2 through the public sampling API: f_1 on all of
-    X_1, each later map only on the image points of the partial
-    composition, in order of first appearance.  Returns the block's
-    (total, total_sq) and the stream's end state."""
+    """Stream contract 3 through ``reference_draw``: f_1 on all of X_1,
+    each later map only on the image points of the partial composition,
+    in order of first appearance, one draw call per map.  Returns the
+    block's (total, total_sq) and the stream's end state."""
     stream = derived_stream(seed, block)
     total = total_sq = 0
     for _ in range(count):
-        g = sample_function(sizes[0], sizes[1], stream).images
+        g = reference_draw(stream, sizes[1], sizes[0])
         for m in sizes[2:]:
             pts = list(dict.fromkeys(g))
-            image_of = dict(zip(pts, sample_function(len(pts), m, stream).images))
+            image_of = dict(zip(pts, reference_draw(stream, m, len(pts))))
             g = [image_of[y] for y in g]
         s_val = sum(c * c for c in Counter(g).values())
         total += s_val
@@ -129,10 +151,15 @@ class TestDrawChunks:
         monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
         assert block_end_state(monkeypatch, block_fn, *args) == whole
 
-    @pytest.mark.parametrize("block_fn,size", [
-        (_chain_block, (30, 20)), (_maxfiber_block, 30),
+    # a chunk holds whole words: the patched chunk of 7 draws rounds up to
+    # one word, 14 digits below 20 and 13 below 30
+    @pytest.mark.parametrize("block_fn,size,chunks", [
+        (_chain_block, (30, 20), [14, 14, 2]),
+        (_maxfiber_block, 30, [13, 13, 4]),
     ])
-    def test_first_map_is_drawn_in_chunks(self, monkeypatch, block_fn, size):
+    def test_first_map_is_drawn_in_chunks(
+        self, monkeypatch, block_fn, size, chunks
+    ):
         calls = []
         draw = montecarlo._draw
 
@@ -143,7 +170,19 @@ class TestDrawChunks:
         monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
         monkeypatch.setattr(montecarlo, "_draw", counting_draw)
         block_fn(size, 1, 0, 3)
-        assert calls == [7, 7, 7, 7, 2] * 3
+        assert calls == chunks * 3
+
+    @pytest.mark.parametrize("bound", [3, 20, 50, 10**4, 2**32 + 1])
+    def test_chunks_split_at_whole_words(self, bound):
+        # more draws than one chunk: the chunks are one _draw call cut
+        # between words, so no digit is dropped at a chunk's end
+        count = montecarlo._DRAW_CHUNK + 4321
+        stream = SplitMix64(9)
+        chunks = list(montecarlo._draw_chunks(stream, bound, count))
+        end, draws = montecarlo._draw(SplitMix64(9)._state, bound, count)
+        assert len(chunks) == 2
+        assert list(chain.from_iterable(chunks)) == draws
+        assert stream._state == end
 
 
 class TestSplitMix64:
@@ -168,14 +207,13 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("bound", [1, 2, 7, 10**9, 2**63 + 5, 2**64])
     def test_randbelow_matches_reference_rejection(self, bound):
-        # word-by-word rejection on next_word: same values, same state
+        # one draw per call, so one accepted word each: same values, same
+        # state as the reference
         stream, reference = SplitMix64(77), SplitMix64(77)
-        threshold = ((1 << 64) // bound) * bound
         for _ in range(50):
-            word = reference.next_word()
-            while word >= threshold:
-                word = reference.next_word()
-            assert stream.randbelow(bound) == word % bound
+            assert [stream.randbelow(bound)] == reference_draw(
+                reference, bound, 1
+            )
             assert stream._state == reference._state
 
     def test_randbelow_guard(self):
@@ -202,7 +240,79 @@ class TestSplitMix64:
             assert derived_stream(42, i)._state == word
 
 
+# every bound whose digits per word change at an edge, and some between
+CONTRACT_BOUNDS = [
+    1, 2, 3, 7, 20, 50, 10**4,
+    2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64,
+]
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize("bound", CONTRACT_BOUNDS)
+    def test_digits_per_word(self, deadline, bound):
+        k = reference_digits(bound)
+        assert montecarlo._word_digits(bound) == (
+            k, 2**64 // bound**k * bound**k
+        )
+        if bound == 1:
+            assert k == 64 == reference_digits(2)
+        else:
+            assert bound**k <= 2**64 < bound ** (k + 1)
+        assert k == 1 if bound > 2**32 else k >= 2
+
+    @pytest.mark.parametrize("bound", CONTRACT_BOUNDS)
+    def test_draw_matches_reference(self, deadline, bound):
+        # values and end state, for counts around one word's digits, from
+        # enough seeds that words in the rejected range come up for the
+        # bounds that reject often (7, 50 and 3 reject 15-34% of words)
+        k = reference_digits(bound)
+        for seed in range(10):
+            for count in (1, k - 1, k, k + 1, 3 * k + 2):
+                reference = SplitMix64(seed)
+                expected = reference_draw(reference, bound, count)
+                state, draws = montecarlo._draw(
+                    SplitMix64(seed)._state, bound, count
+                )
+                assert draws == expected, (seed, count)
+                assert state == reference._state, (seed, count)
+
+    def test_calls_start_on_a_fresh_word(self):
+        # two calls of 3 digits each read two words, one call of 6 reads
+        # one (no word is rejected at this seed)
+        state = SplitMix64(5)._state
+        state_a, first = montecarlo._draw(state, 50, 3)
+        state_b, second = montecarlo._draw(state_a, 50, 3)
+        state_c, both = montecarlo._draw(state, 50, 6)
+        assert both[:3] == first and both[3:] != second
+        assert words_between(state, state_b) == 2
+        assert words_between(state, state_c) == 1
+
+    def test_adjacent_digits_independent(self):
+        # pairs (d_i, d_{i+1}) at base 3, 40 digits per word, at each
+        # offset i mod 40 in turn; offset 39 pairs the last digit of a
+        # word with the first of the next.  Pairs at one offset come
+        # from disjoint digits, so each offset gives a chi-square on 8
+        # degrees of freedom, below 26.12 (p = 0.001) at this seed
+        k, words = 40, 3000
+        state, digits = montecarlo._draw(SplitMix64(31)._state, 3, k * words)
+        assert reference_digits(3) == k
+        for offset in range(k):
+            pairs = Counter(
+                zip(digits[offset::k], digits[offset + 1::k])
+            )
+            samples = sum(pairs.values())
+            assert samples >= words - 1 and len(pairs) == 9, offset
+            expected = samples / 9
+            chi_square = sum((c - expected) ** 2 / expected
+                             for c in pairs.values())
+            assert chi_square < 26.12, (offset, chi_square)
+
+
 class TestSampleFunction:
+    def test_images_are_contract_draws(self):
+        reference = SplitMix64(8)
+        f = sample_function(30, 20, SplitMix64(8))
+        assert list(f.images) == reference_draw(reference, 20, 30)
     def test_shape(self):
         f = sample_function(5, 3, SplitMix64(1))
         assert f.domain_size == 5 and f.codomain_size == 3
@@ -276,13 +386,19 @@ class TestEstimateChain:
                 ), (sizes, count)
                 assert end == ref_end
 
-    def test_words_per_sample(self, monkeypatch):
-        # a 20-set chain of 20 draws about 105 words per sample, where
-        # drawing every map on all of its domain takes 380
-        sizes, count = (20,) * 20, 200
+    @pytest.mark.parametrize("sizes, low, high", [
+        ((20,) * 20, 20, 21), ((50, 50, 50, 50), 11, 14),
+    ])
+    def test_words_per_sample(self, monkeypatch, sizes, low, high):
+        # one word holds 14 draws below 20 and 11 below 50.  A 20-set
+        # chain of 20 draws about 105 values per sample (380 on all of
+        # each domain); 50,50,50,50 draws about 105 values.  Each map
+        # takes at least one word, f_1 two below 20 and five below 50,
+        # and later maps below 50 about three each
+        count = 200
         _, end = chain_block_end_state(monkeypatch, sizes, 1, 0, count)
         words = words_between(derived_stream(1, 0)._state, end)
-        assert 90 * count < words < 120 * count
+        assert low * count <= words <= high * count
 
     def test_image_only_draws_have_the_chain_law(self):
         # drawing each later map only on the image of the partial
@@ -360,8 +476,9 @@ class TestEstimateMaxFiber:
     def test_pinned_stream(self):
         # values of the stream contract, three blocks at seed 5
         report = estimate_max_fiber_mean(7, SamplerConfig(seed=5, samples=3000))
-        assert report.mean == 2.5046666666666666
-        assert report.std_error == 0.011964596484693179
+        # (computed from reference_draw)
+        assert report.mean == 2.5136666666666665
+        assert report.std_error == 0.012355375045093089
 
     def test_deterministic(self):
         config = SamplerConfig(seed=13, samples=1500)
