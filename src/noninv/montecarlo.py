@@ -22,11 +22,12 @@ in one call of n_1 draws below n_2.  Each later f_s is drawn only at
 the image points of the partial composition g = f_{s-1} o ... o f_1, in
 one call of one draw below n_{s+1} per point, in order of first
 appearance of g(x) as x runs over 0..n_1-1: the composition's degree
-depends on f_s only there.  A max-fiber sample draws its n images in one call.
-This is version ``STREAM_CONTRACT`` (3) of the contract.  Version 2 took
-one word per draw: on 50,50,50,50 a chain sample read about 105 words,
-where it now reads about 14 (11 draws per word below 50, about a fifth
-of the words rejected).  Version 1 drew every f_s at all of X_s.
+depends on f_s only there.  A max-fiber sample draws its n images in
+one call.  This is version ``STREAM_CONTRACT`` (3) of the contract.
+Version 2 took one word per draw: on 50,50,50,50 a chain sample read
+about 105 words, where it now reads about 14 (11 draws per word below
+50, about a fifth of the words rejected).  Version 1 drew every f_s at
+all of X_s.
 
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i uses
 its own SplitMix64 stream whose initial state is the i-th output word of
@@ -85,13 +86,14 @@ _MIX2 = 0x94D049BB133111EB
 BLOCK_SAMPLES = 1024
 STREAM_CONTRACT = 3
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
-# draws).  _draw makes about 4.3M draws/s below 50, 2.4M below 10^4 and
-# 0.8M above 2^32, one per word (CPython 3.11.7, one core of a 2-core
-# VM); chain sampling on 50,50,50,50 runs at about 2M draws/s with its
-# counting, so a run at the cap takes about 50 s
+# draws).  _draw makes about 5.5M draws/s below 50, 3.5M below 10^4 and
+# 1.1M above 2^32, one per word (CPython 3.11.7, one core of a 2-core
+# VM); chain sampling on 50,50,50,50 runs at 2-2.5M draws/s with its
+# counting, so a run at the cap takes 40-50 s
 MAX_DRAWS = 10**8
-# the draws of f_1 in a sample are made and counted this many at a time,
-# so a sample holds its fiber counts and one chunk, not n draws
+# the draws of f_1 in a sample are made and counted about this many at a
+# time (whole words' digits), so a sample holds its fiber counts and one
+# chunk, not n draws
 _DRAW_CHUNK = 1 << 16
 
 
@@ -245,8 +247,8 @@ def _chain_block(
 
     Carries the fiber profile of the partial composition, one count per
     image point in order of first appearance, and draws each later map
-    only at those points (stream contract 2; the test suite pins it
-    against ``sample_function``).
+    only at those points (the draw order of the stream contract; the
+    test suite pins it against a reference built on ``next_word``).
     """
     stream = derived_stream(seed, block)
     total = 0

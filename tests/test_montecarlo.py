@@ -294,7 +294,7 @@ class TestDrawContract:
         # from disjoint digits, so each offset gives a chi-square on 8
         # degrees of freedom, below 26.12 (p = 0.001) at this seed
         k, words = 40, 3000
-        state, digits = montecarlo._draw(SplitMix64(31)._state, 3, k * words)
+        _, digits = montecarlo._draw(SplitMix64(31)._state, 3, k * words)
         assert reference_digits(3) == k
         for offset in range(k):
             pairs = Counter(
@@ -368,8 +368,9 @@ class TestEstimateChain:
         assert report.std_error == std_error
 
     def test_matches_public_sampling_api(self, monkeypatch):
-        # the block loop must draw word-for-word what the public API
-        # draws under stream contract 2, and consume the same words
+        # the block loop must draw what reference_draw, on the public
+        # next_word, draws under stream contract 3, and consume the same
+        # words
         seed, block = 5, 3
         start = derived_stream(seed, block)._state
         for sizes in [(5, 3, 4, 2, 6), (7, 1, 5, 5), (20,) * 20]:
