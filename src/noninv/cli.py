@@ -89,12 +89,23 @@ def _power_of_ten(exponent: int) -> int:
     return 10**exponent
 
 
+def _digit_limit() -> int:
+    """L = ``sys.get_int_max_str_digits()``, or 0 for no limit."""
+    # Python before 3.10.7 has no such limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(digits: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"a value of more than {digits} digits is too long to print"
+    )
+
+
 def _check_printable(x: Fraction, decimals: int | None = None) -> None:
     """Refuse a value that Python will not print in full: its numerator,
     its denominator or, with ``decimals`` K, its expansion |x|*10^K
-    reaches 10^L, L = ``sys.get_int_max_str_digits()``."""
-    # Python before 3.10.7 has no such limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reaches 10^L, L = ``_digit_limit()``."""
+    digits = _digit_limit()
     if not digits:
         return
     bound = _power_of_ten(digits)
@@ -104,9 +115,7 @@ def _check_printable(x: Fraction, decimals: int | None = None) -> None:
         # both parts below 10^L, rounding never carries |x|*10^K up to it)
         too_long = abs(x) * 10 ** min(decimals, 2 * digits) >= bound
     if too_long:
-        raise BudgetExceededError(
-            f"a value of more than {digits} digits is too long to print"
-        )
+        raise _too_long(digits)
 
 
 def _frac_decimal(x: Fraction, places: int) -> str:
@@ -210,6 +219,15 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_deg(args) -> _Output:
     f = load_function(args.file)
+    # deg(f, q) = sum_y |f^-1(y)|^q / n has a reduced numerator of at
+    # least M^q / n for the largest fiber M, so when that is 2^(4L) or
+    # more (> 10^L) it is refused before the powers are formed
+    digits, max_fiber = _digit_limit(), f.max_fiber()
+    if digits and max_fiber > 1 and (
+        args.q * (max_fiber.bit_length() - 1) - f.domain_size.bit_length()
+        >= 4 * digits
+    ):
+        raise _too_long(digits)
     value = f.degree_q(args.q)
     return _value_output(
         args,
@@ -219,7 +237,7 @@ def _cmd_deg(args) -> _Output:
             "codomain": f.codomain_size,
             "q": args.q,
             "degree": _frac_json(value, args.decimals),
-            "max_fiber": f.max_fiber(),
+            "max_fiber": max_fiber,
         },
         value,
     )

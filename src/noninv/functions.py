@@ -320,9 +320,23 @@ def parse_function_json(text: str) -> FiniteFunction:
 
 
 def load_function(path: str) -> FiniteFunction:
-    """Read a function file, sniffing the format from the first character."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a UTF-8 function file, sniffing the format from the first
+    character.  A byte that is not UTF-8 text is a ``FunctionFileError``
+    at its line and column."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is its
+        # bytes; the line and column are counted as the text parser
+        # counts them, with "x" standing for the bad byte
+        data, start = exc.object, exc.start
+        head = (data[:start].decode("utf-8") + "x").splitlines()
+        raise FunctionFileError(
+            f"byte 0x{data[start]:02x} is not UTF-8 text",
+            len(head),
+            len(head[-1]),
+        ) from None
     if _JSON_START.match(text):
         return parse_function_json(text)
     return parse_function_text(text)

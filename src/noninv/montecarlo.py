@@ -233,8 +233,8 @@ class EstimateReport:
 
 def sample_function(n: int, m: int, stream: SplitMix64) -> FiniteFunction:
     """Uniform random function: each image independent uniform on [0, m)."""
-    if n >= 1 and m < 1:
-        # refused as the first randbelow(m) would be
+    if m < 1:
+        # refused as the first randbelow(m) would be, even with no draws
         raise InvalidSizeError(f"bound must be >= 1, got {m}")
     stream._state, images = _draw(stream._state, m, n)
     return FiniteFunction(n, m, tuple(images))

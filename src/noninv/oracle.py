@@ -1,8 +1,9 @@
 """Independent computation paths for every closed form in the package.
 
-Two kinds of oracle live here: full enumeration over function tuples
-(exponential, budget-guarded) and direct evaluation of nested multinomial
-sums over weak compositions (polynomial per level, also budget-guarded).
+Two kinds of oracle live here: enumeration over all function tuples,
+memoized on fiber profiles (exponential, budgeted by the full count),
+and direct evaluation of nested multinomial sums over weak compositions
+(polynomial per level, also budget-guarded).
 Each closed form in ``noninv.closed_form`` must agree exactly with at
 least one of these paths; the chain expectation has all three.
 
@@ -13,7 +14,6 @@ least one of these paths; the chain expectation has all three.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +26,7 @@ from typing import (
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
 from .errors import BudgetExceededError, InvalidExponentError, InvalidSizeError
-from .functions import FiniteFunction, _square_sum, fiber_sizes
+from .functions import FiniteFunction, _square_sum
 
 __all__ = [
     "EnumerationBudget",
@@ -211,54 +211,56 @@ def _weighted_composition_sum(
     return acc
 
 
-def _kernel(g: Sequence[int]) -> tuple[int, ...]:
-    """g relabelled by first occurrence: equal for g and pi o g for every
-    bijection pi, so it names the partition of the domain that g induces."""
-    labels: dict[int, int] = {}
-    return tuple(labels.setdefault(y, len(labels)) for y in g)
+@lru_cache(maxsize=4)
+def _fiber_profiles(
+    sizes: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(sorted fiber sizes, number of tuples) of f_t o ... o f_1 over all
+    function tuples on the chain ``sizes`` = (n_1, ..., n_{t+1}).
+
+    Steps level by level from the identity of X_1, counting the tuples
+    that reach each sorted fiber profile of g: X_1 -> X_{s+1}.  Exact:
+    for bijections pi of X_{s+1} and sigma of X_1, g and pi o g o sigma
+    reach the same profiles (f -> f o pi permutes the next level), and
+    f o g depends on f only on the image of g, so a profile with b
+    nonzero fibers enumerates the cod^b maps on those points, each
+    weighted by cod^(dom - b).  At most one entry per partition of n_1.
+    """
+    profiles: dict[tuple[int, ...], int] = {(1,) * sizes[0]: 1}
+    for dom, cod in zip(sizes, sizes[1:]):
+        reached: dict[tuple[int, ...], int] = {}
+        get = reached.get
+        for profile, tuples in profiles.items():
+            blocks = profile[profile.count(0):]
+            weight = tuples * cod ** (dom - len(blocks))
+            for f in product(range(cod), repeat=len(blocks)):
+                counts = [0] * cod
+                for y, c in zip(f, blocks):
+                    counts[y] += c
+                counts.sort()
+                key = tuple(counts)
+                reached[key] = get(key, 0) + weight
+        profiles = reached
+    return tuple(profiles.items())
 
 
 def brute_expected_degree_chain(
     spec: ChainSpec, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Fraction:
-    """Exact average of deg(f_t o ... o f_1) over all function tuples.
-
-    Runs level by level over the partial compositions g: X_1 -> X_{s+1},
-    keeping only how many tuples (f_1, ..., f_s) reach each kernel of g.
-    This is exact: for a bijection pi of X_{s+1}, f -> f o pi^-1
-    permutes the functions of the next level, so pi o g and g lead to
-    the same multiset of kernels and the same fiber square sums, and two
-    maps with the same kernel differ by such a pi.  Each level
-    enumerates all of its functions once per distinct kernel; the last
-    level adds fiber square sums directly.  Memory is one level's
-    counts: at most one entry per set partition of X_1.
-
-    The budget counts the tuples a memo-free enumeration would visit,
-    ``spec.tuple_count()``.
+    """Exact average of deg(f_t o ... o f_1) over all function tuples,
+    read from ``_fiber_profiles``.  The budget counts the tuples a
+    memo-free enumeration would visit, ``spec.tuple_count()``.
     """
     sizes = spec.sizes
-    t = spec.t
     budget.check_powers(
-        [(sizes[s + 1], sizes[s]) for s in range(t)],
+        [(sizes[s + 1], sizes[s]) for s in range(spec.t)],
         f"chain enumeration for {sizes}",
     )
-    n1 = sizes[0]
-    kernels: Counter[tuple[int, ...]] = Counter({tuple(range(n1)): 1})
-    for level in range(t - 1):
-        dom, cod = sizes[level], sizes[level + 1]
-        reached: Counter[tuple[int, ...]] = Counter()
-        for g, tuples in kernels.items():
-            for f in product(range(cod), repeat=dom):
-                reached[_kernel([f[x] for x in g])] += tuples
-        kernels = reached
-    dom, cod = sizes[t - 1], sizes[t]
     total = sum(
-        tuples
-        * _square_sum(fiber_sizes([f[x] for x in g], sizes[t]))
-        for g, tuples in kernels.items()
-        for f in product(range(cod), repeat=dom)
+        tuples * _square_sum(fibers)
+        for fibers, tuples in _fiber_profiles(sizes)
     )
-    return Fraction(total, n1 * spec.tuple_count())
+    return Fraction(total, sizes[0] * spec.tuple_count())
 
 
 def _profile(k: Sequence[int]) -> tuple[int, ...]:
@@ -351,25 +353,14 @@ def multinomial_expected_degree_chain(
     return Fraction(total, sizes[0] * spec.tuple_count())
 
 
-@lru_cache(maxsize=4)
-def _fiber_profile_histogram(
-    n: int, m: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(sorted fiber sizes, number of functions) over all m^n functions."""
-    histogram: Counter[tuple[int, ...]] = Counter()
-    for images in product(range(m), repeat=n):
-        histogram[tuple(sorted(fiber_sizes(images, m)))] += 1
-    return tuple(histogram.items())
-
-
 def brute_expected_degree_q(
     n: int, m: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact average of deg(f, q) over all m^n functions.
 
-    The functions are enumerated once per (n, m) into a histogram of
-    sorted fiber profiles, which every q then reads; the budget counts
-    the m^n functions on every call.
+    The functions are enumerated once per (n, m) into the fiber profiles
+    of the chain (n, m) (``_fiber_profiles``), which every q then reads;
+    the budget counts the m^n functions on every call, before the cache.
     """
     if n < 1 or m < 1:
         raise InvalidSizeError(f"set sizes must be >= 1, got ({n}, {m})")
@@ -378,7 +369,7 @@ def brute_expected_degree_q(
     budget.check_powers([(m, n)], f"enumeration of all functions ({n}, {m})")
     total = sum(
         count * sum(c**q for c in fibers)
-        for fibers, count in _fiber_profile_histogram(n, m)
+        for fibers, count in _fiber_profiles((n, m))
     )
     return Fraction(total, n * m**n)
 

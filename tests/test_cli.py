@@ -9,6 +9,7 @@ import pytest
 
 from noninv import (
     ChainSpec,
+    FiniteFunction,
     VerificationReport,
     check_square_moment_identity,
     compare_bounds,
@@ -110,6 +111,16 @@ class TestDeg:
         code, _, err = invoke(capsys, "deg", "--file", str(path))
         assert code == 2
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_non_utf8_file(self, capsys, tmp_path, mode):
+        path = tmp_path / "bad.fn"
+        path.write_bytes(b"3 3 : 1 \xff 1\n")
+        code, out, err = invoke(capsys, "deg", "--file", str(path), *mode)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1, column 9: byte 0xff is not UTF-8 text\n"
+        )
 
 
 class TestVerify:
@@ -326,6 +337,22 @@ class TestBounds:
         assert code == 0
         assert "new_holds=true" in out
 
+    @pytest.mark.parametrize("bad", ["outer", "inner"])
+    def test_non_utf8_file(self, capsys, tmp_path, bad):
+        paths = {}
+        for name in ("outer", "inner"):
+            paths[name] = tmp_path / f"{name}.fn"
+            paths[name].write_bytes(
+                b"\n3 3 : 1 1 \xc3\n" if name == bad else b"3 3 : 1 1 2\n"
+            )
+        code, out, err = invoke(
+            capsys, "bounds", str(paths["outer"]), str(paths["inner"])
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 2, column 11: byte 0xc3 is not UTF-8 text\n"
+        )
+
     def test_exhaustive(self, capsys):
         code, out, _ = invoke(capsys, "bounds", "--exhaustive", "--n", "3")
         assert code == 0
@@ -534,6 +561,52 @@ class TestTooLongToPrint:
     def test_refused(self, capsys, deadline, argv, mode):
         code, out, err = invoke(capsys, *argv, *mode)
         assert (code, out, err) == (2, "", self.ERROR)
+
+    @pytest.mark.parametrize("q", ["100000000", "1000000000000"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_deg_huge_q_refused_before_powers(
+        self, capsys, tmp_path, deadline, q, mode
+    ):
+        path = tmp_path / "f.fn"
+        path.write_text("3 3 : 1 1 1\n")
+        code, out, err = invoke(capsys, "deg", "--file", str(path),
+                                "--q", q, *mode)
+        assert (code, out, err) == (2, "", self.ERROR)
+
+    @pytest.mark.parametrize("q, printed", [
+        # 3^q / 3 = 3^(q-1): 8999 * log10(3) < 4300 digits
+        ("9000", str(3**8999) + "\n"),
+        # refused after computing: q * (bit_length(3) - 1) - bit_length(3)
+        # = 17199 is below 4 * 4300, the early cut-off
+        ("17201", None),
+    ])
+    def test_deg_q_near_the_cut_off(self, capsys, tmp_path, q, printed):
+        path = tmp_path / "f.fn"
+        path.write_text("3 3 : 1 1 1\n")
+        code, out, err = invoke(capsys, "deg", "--file", str(path), "--q", q)
+        if printed is None:
+            assert (code, out, err) == (2, "", self.ERROR)
+        else:
+            assert (code, out, err) == (0, printed, "")
+
+    def test_deg_cut_off_forms_no_power(self, capsys, tmp_path, monkeypatch):
+        def formed(*_args):
+            raise AssertionError("formed the powers before refusing")
+
+        monkeypatch.setattr(FiniteFunction, "degree_q", formed)
+        path = tmp_path / "f.fn"
+        path.write_text("3 3 : 1 1 1\n")
+        code, out, err = invoke(capsys, "deg", "--file", str(path),
+                                "--q", "17202")
+        assert (code, out, err) == (2, "", self.ERROR)
+
+    def test_deg_injective_huge_q(self, capsys, tmp_path, deadline):
+        # every fiber has at most one point, so deg(f, q) = 1 for any q
+        path = tmp_path / "f.fn"
+        path.write_text("3 4 : 1 4 2\n")
+        code, out, err = invoke(capsys, "deg", "--file", str(path),
+                                "--q", "1000000000000")
+        assert (code, out, err) == (0, "1\n", "")
 
     def test_expansion_at_the_limit(self, capsys):
         # 3/2 * 10^4299 has 4300 digits and prints; 3/2 * 10^4300 has 4301

@@ -119,6 +119,23 @@ class TestLoad:
         with pytest.raises(OSError):
             load_function("definitely-missing.fn")
 
+    @pytest.mark.parametrize("data, line, column, byte", [
+        (b"3 3 : 1 \xff 1\n", 1, 9, 0xFF),
+        (b"\xff", 1, 1, 0xFF),
+        (b"\n3 3 : 1 1 \xc3\n", 2, 11, 0xC3),
+        (b"3 3 :\r\n1 \xe2\x82", 2, 3, 0xE2),
+        (b'{"domain": 1,\r"codomain": 1, "images": [0\x80]}', 2, 28, 0x80),
+    ])
+    def test_non_utf8_names_first_bad_byte(
+        self, tmp_path, data, line, column, byte
+    ):
+        path = tmp_path / "f.fn"
+        path.write_bytes(data)
+        with pytest.raises(FunctionFileError) as info:
+            load_function(str(path))
+        assert (info.value.line, info.value.column) == (line, column)
+        assert f"byte 0x{byte:02x} is not UTF-8 text" in str(info.value)
+
 
 # ---------------------------------------------------------------------------
 # The one-pass parsers against the per-token and per-item parsers they

@@ -11,6 +11,7 @@ from noninv import (
     MAX_DRAWS,
     BudgetExceededError,
     ChainSpec,
+    EmptySetError,
     InvalidSizeError,
     SamplerConfig,
     SplitMix64,
@@ -321,6 +322,15 @@ class TestSampleFunction:
         for seed in range(10):
             f = sample_function(4, 1, SplitMix64(seed))
             assert f.images == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, -1)])
+    def test_empty_codomain_refused(self, n, m):
+        with pytest.raises(InvalidSizeError):
+            sample_function(n, m, SplitMix64(1))
+
+    def test_empty_domain_refused(self):
+        with pytest.raises(EmptySetError):
+            sample_function(0, 3, SplitMix64(1))
 
     def test_deterministic(self):
         assert sample_function(6, 4, SplitMix64(99)) == sample_function(

@@ -26,7 +26,11 @@ from noninv import (
     multinomial_power_sum,
     weak_compositions,
 )
-from noninv.oracle import _count_weak_compositions, _nested_sum_work
+from noninv.oracle import (
+    _count_weak_compositions,
+    _fiber_profiles,
+    _nested_sum_work,
+)
 
 
 class TestEnumerateFunctions:
@@ -114,6 +118,45 @@ class TestBruteChain:
         ) == Fraction(3, 2)
         with pytest.raises(BudgetExceededError):
             brute_expected_degree_chain(spec, EnumerationBudget(3))
+
+
+def reference_fiber_profiles(sizes):
+    """Histogram of the sorted fiber sizes of f_t o ... o f_1 over every
+    function tuple on the chain, composing each tuple in full."""
+    histogram = Counter()
+    levels = [
+        product(range(cod), repeat=dom) for dom, cod in zip(sizes, sizes[1:])
+    ]
+    for maps in product(*levels):
+        g = range(sizes[0])
+        for f in maps:
+            g = [f[x] for x in g]
+        fibers = [0] * sizes[-1]
+        for y in g:
+            fibers[y] += 1
+        histogram[tuple(sorted(fibers))] += 1
+    return histogram
+
+
+class TestFiberProfiles:
+    SIZES = [
+        sizes
+        for length in (2, 3, 4)
+        for sizes in product((1, 2, 3), repeat=length)
+    ] + [(4, 1, 4), (1, 4, 2, 4), (2, 4, 3), (4, 4, 4)]
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=str)
+    def test_matches_full_enumeration(self, sizes):
+        profiles = _fiber_profiles(sizes)
+        assert dict(profiles) == reference_fiber_profiles(sizes)
+        assert sum(count for _, count in profiles) == ChainSpec(
+            sizes
+        ).tuple_count()
+
+    def test_immutable(self):
+        profiles = _fiber_profiles((2, 3))
+        assert isinstance(profiles, tuple)
+        assert all(isinstance(fibers, tuple) for fibers, _ in profiles)
 
 
 class TestMultinomialChain:
