@@ -11,12 +11,13 @@ size (see ``_bounds_hold``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SizeMismatchError
-from .functions import FiniteFunction, _square_sum, compose
+from .functions import FiniteFunction, _square_sum, compose, fiber_sizes
 
 __all__ = [
     "BoundReport",
@@ -133,38 +134,63 @@ def compare_bounds(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
     return _pair_report(f, g, same_set=True)
 
 
+def _kernel(images: Sequence[int]) -> tuple[int, ...]:
+    """The partition of the domain into nonempty fibers, as the images
+    relabelled in order of first appearance."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(y, len(labels)) for y in images)
+
+
 def sweep_endofunction_pairs(
     functions: Sequence[FiniteFunction],
 ) -> tuple[int, int, int]:
     """Check both bounds on every pair (f, g) of the given endofunctions
     of one n-set, as ``compare_bounds`` would.
 
-    Returns (pairs, new_violations, chain_violations).  S and M are read
-    once per function; per pair only the fibers of f o g are counted.
+    Returns (pairs, new_violations, chain_violations), counting each
+    pair of list entries once (repeats included).  Exact by classes:
+    the fibers of f o g are the unions of g's fibers over the blocks B
+    of ker f, the partition of the n-set into f's nonempty fibers, so
+
+        S_fg = sum over B in ker f of (sum over y in B of |g^-1(y)|)^2,
+
+    while S_f and M_f are the squares and the largest of the block
+    sizes of ker f, and S_g is read from g's fiber vector.  Every
+    statistic ``_bounds_hold`` needs is therefore a function of
+    (ker f, fiber vector of g).  The functions are counted by kernel
+    (images relabelled by first appearance) and by fiber vector, each
+    class pair is checked once, and its outcome counts f_count * g_count
+    times: at n = 4 that is 15 * 35 checks for 65,536 pairs.
     """
-    stats = []
+    kernels: Counter[tuple[int, ...]] = Counter()
+    fiber_vectors: Counter[tuple[int, ...]] = Counter()
     for f in functions:
         if not f.domain_size == f.codomain_size == functions[0].domain_size:
             raise SizeMismatchError(
                 "the sweep needs endofunctions of one set, got "
                 f"({f.domain_size}->{f.codomain_size})"
             )
-        fibers = f.fiber_sizes()
-        stats.append((f.images, _square_sum(fibers), max(fibers)))
+        kernels[_kernel(f.images)] += 1
+        fiber_vectors[f.fiber_sizes()] += 1
+    inner = [
+        (fibers, _square_sum(fibers), count)
+        for fibers, count in fiber_vectors.items()
+    ]
     pairs = new_violations = chain_violations = 0
-    for f_images, s_outer, m_outer in stats:
-        for g_images, s_inner, _ in stats:
-            # f o g is counted as it is composed, not built and passed to
-            # fiber_sizes: per pair this loop is the sweep's whole cost,
-            # and the separate list took 1.4-2x as long for n = 4
-            # (2-core Xeon VM, Python 3.11)
-            counts = [0] * len(f_images)
-            for y in g_images:
-                counts[f_images[y]] += 1
+    for kernel, f_count in kernels.items():
+        blocks = fiber_sizes(kernel, max(kernel) + 1)
+        s_outer, m_outer = _square_sum(blocks), max(blocks)
+        for g_fibers, s_inner, g_count in inner:
+            counts = [0] * len(blocks)
+            for label, c in zip(kernel, g_fibers):
+                counts[label] += c
             new_holds, chain_holds = _bounds_hold(
                 _square_sum(counts), s_outer, m_outer, s_inner
             )
-            pairs += 1
-            new_violations += not new_holds
-            chain_violations += not chain_holds
+            weight = f_count * g_count
+            pairs += weight
+            if not new_holds:
+                new_violations += weight
+            if not chain_holds:
+                chain_violations += weight
     return pairs, new_violations, chain_violations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
@@ -127,8 +128,12 @@ class FiniteFunction:
         """
         if q < 1:
             raise InvalidExponentError(f"exponent must be >= 1, got {q}")
+        # one power per distinct fiber size: a million two-point fibers
+        # at a large q form a single power, not a million
         return Fraction(
-            sum(map(pow, self.fiber_sizes(), repeat(q))), self.domain_size
+            sum(count * size**q
+                for size, count in Counter(self.fiber_sizes()).items()),
+            self.domain_size,
         )
 
     def max_fiber(self) -> int:

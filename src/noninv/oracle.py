@@ -211,6 +211,40 @@ def _weighted_composition_sum(
     return acc
 
 
+def _set_partitions(
+    points: int, max_blocks: int
+) -> Iterator[tuple[int, ...]]:
+    """Set partitions of range(points) into at most ``max_blocks``
+    blocks, as restricted growth strings: point i gets the label of its
+    block, and labels are numbered in order of first use, so a partition
+    with k blocks uses exactly the labels 0..k-1.
+
+    Lexicographic order.  Iterative and lazy, so any number of points
+    works and a caller that stops early never holds the rest: the
+    successor raises the last label that is below both the number of
+    blocks opened before it and ``max_blocks`` - 1, and resets every
+    label after it to 0.  Bell(points) strings when max_blocks >= points;
+    max_blocks must be at least 1.
+    """
+    labels = [0] * points
+    # opened[i]: number of blocks among points 0..i-1
+    opened = [1] * points
+    while True:
+        yield tuple(labels)
+        i = points - 1
+        while i > 0 and (
+            labels[i] == opened[i] or labels[i] == max_blocks - 1
+        ):
+            i -= 1
+        if i <= 0:
+            return
+        labels[i] += 1
+        top = max(opened[i], labels[i] + 1)
+        for j in range(i + 1, points):
+            labels[j] = 0
+            opened[j] = top
+
+
 @lru_cache(maxsize=4)
 def _fiber_profiles(
     sizes: tuple[int, ...]
@@ -223,8 +257,15 @@ def _fiber_profiles(
     for bijections pi of X_{s+1} and sigma of X_1, g and pi o g o sigma
     reach the same profiles (f -> f o pi permutes the next level), and
     f o g depends on f only on the image of g, so a profile with b
-    nonzero fibers enumerates the cod^b maps on those points, each
-    weighted by cod^(dom - b).  At most one entry per partition of n_1.
+    nonzero fibers needs only the maps on those b points, each standing
+    for cod^(dom - b) maps f.  The profile of f o g depends on such a
+    map only through the partition of the b points into its nonempty
+    fibers: relabelling the codomain permutes the fibers.  So each set
+    partition with k <= cod blocks (``_set_partitions``) stands for the
+    perm(cod, k) maps that send its blocks to distinct points, and
+    carries weight tuples * cod^(dom - b) * perm(cod, k): Bell(b)
+    partitions at most in place of cod^b maps.  At most one entry per
+    partition of n_1.
     """
     profiles: dict[tuple[int, ...], int] = {(1,) * sizes[0]: 1}
     for dom, cod in zip(sizes, sizes[1:]):
@@ -232,14 +273,17 @@ def _fiber_profiles(
         get = reached.get
         for profile, tuples in profiles.items():
             blocks = profile[profile.count(0):]
-            weight = tuples * cod ** (dom - len(blocks))
-            for f in product(range(cod), repeat=len(blocks)):
+            # weights[k]: tuples * cod^(dom - b) * perm(cod, k)
+            weights = [tuples * cod ** (dom - len(blocks))]
+            for k in range(min(cod, len(blocks))):
+                weights.append(weights[-1] * (cod - k))
+            for labels in _set_partitions(len(blocks), cod):
                 counts = [0] * cod
-                for y, c in zip(f, blocks):
+                for y, c in zip(labels, blocks):
                     counts[y] += c
                 counts.sort()
                 key = tuple(counts)
-                reached[key] = get(key, 0) + weight
+                reached[key] = get(key, 0) + weights[max(labels) + 1]
         profiles = reached
     return tuple(profiles.items())
 

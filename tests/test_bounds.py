@@ -17,6 +17,7 @@ from noninv import (
     make_function,
     sweep_endofunction_pairs,
 )
+from noninv import bounds
 from noninv.bounds import _bounds_hold
 
 
@@ -133,6 +134,34 @@ class TestCompareBounds:
         assert report.new_holds and report.chain_holds
 
 
+def reference_sweep(functions):
+    """(pairs, new_violations, chain_violations) over every ordered pair
+    of list entries, composing each pair in full; reads
+    ``bounds._bounds_hold`` at call time, so a patched predicate applies."""
+    pairs = new_violations = chain_violations = 0
+    for f in functions:
+        for g in functions:
+            counts = [0] * f.codomain_size
+            for y in g.images:
+                counts[f.images[y]] += 1
+            new_holds, chain_holds = bounds._bounds_hold(
+                sum(c * c for c in counts),
+                sum(c * c for c in f.fiber_sizes()),
+                f.max_fiber(),
+                sum(c * c for c in g.fiber_sizes()),
+            )
+            pairs += 1
+            new_violations += not new_holds
+            chain_violations += not chain_holds
+    return pairs, new_violations, chain_violations
+
+
+def failing_bounds_hold(s_comp, s_outer, m_outer, s_inner):
+    """A stand-in predicate that fails on some statistics of each
+    kind, so a sweep's violation counts are nonzero."""
+    return (s_comp + s_inner) % 3 != 0, (s_outer + m_outer + s_comp) % 2 == 0
+
+
 class TestSweepPredicate:
     def test_matches_compare_bounds_on_every_pair(self):
         for n in (1, 2, 3):
@@ -169,6 +198,38 @@ class TestSweepPredicate:
         for n in (1, 2, 3):
             fns = list(enumerate_functions(n, n))
             assert sweep_endofunction_pairs(fns) == (n ** (2 * n), 0, 0)
+
+    def test_sweep_matches_pairwise_reference(self):
+        for n in (1, 2, 3, 4):
+            fns = list(enumerate_functions(n, n))
+            assert sweep_endofunction_pairs(fns) == reference_sweep(fns)
+
+    @given(st.integers(1, 5), st.data())
+    def test_sweep_matches_reference_on_lists(self, n, data):
+        images = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        fns = [
+            make_function(n, n, f)
+            for f in data.draw(st.lists(images, max_size=12))
+        ]
+        assert sweep_endofunction_pairs(fns) == reference_sweep(fns)
+        # with a predicate that fails, repeats must count with multiplicity
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_bounds_hold", failing_bounds_hold)
+            assert sweep_endofunction_pairs(fns) == reference_sweep(fns)
+
+    def test_sweep_empty(self):
+        assert sweep_endofunction_pairs([]) == (0, 0, 0)
+
+    def test_sweep_counts_violations_with_multiplicity(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_bounds_hold", failing_bounds_hold)
+        for n in (1, 2, 3):
+            fns = list(enumerate_functions(n, n))
+            # repeats: the first functions appear two and three times
+            fns += fns[:5] + fns[:2]
+            got = sweep_endofunction_pairs(fns)
+            assert got == reference_sweep(fns)
+            if n > 1:
+                assert 0 < got[1] < got[0] and 0 < got[2] < got[0]
 
     def test_sweep_requires_endofunctions(self):
         with pytest.raises(SizeMismatchError):

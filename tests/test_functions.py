@@ -216,6 +216,14 @@ class TestDegreeQ:
     def test_example_q3(self):
         assert make_function(3, 3, [0, 0, 1]).degree_q(3) == 3
 
+    def test_many_equal_fibers_large_q(self, deadline):
+        # 10^4 two-point fibers, one triple, one singleton and an empty
+        # fiber, at a q where each power of 2 has 17,001 bits
+        images = [i // 2 for i in range(20000)] + [10000] * 3 + [10001]
+        f = make_function(20004, 10003, images)
+        q = 17000
+        assert f.degree_q(q) == Fraction(10000 * 2**q + 3**q + 1, 20004)
+
     def test_invalid_exponent(self):
         f = identity_function(2)
         with pytest.raises(InvalidExponentError):

@@ -30,6 +30,7 @@ from noninv.oracle import (
     _count_weak_compositions,
     _fiber_profiles,
     _nested_sum_work,
+    _set_partitions,
 )
 
 
@@ -104,6 +105,10 @@ class TestBruteChain:
         for k in range(1, 5):
             assert brute_expected_degree_chain(ChainSpec((1, k))) == 1
 
+    def test_singleton_into_a_million(self, deadline):
+        # one image point: one partition, however large the codomain
+        assert brute_expected_degree_chain(ChainSpec((1, 10**6))) == 1
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             brute_expected_degree_chain(
@@ -143,7 +148,11 @@ class TestFiberProfiles:
         sizes
         for length in (2, 3, 4)
         for sizes in product((1, 2, 3), repeat=length)
-    ] + [(4, 1, 4), (1, 4, 2, 4), (2, 4, 3), (4, 4, 4)]
+    ] + [
+        (4, 1, 4), (1, 4, 2, 4), (2, 4, 3), (4, 4, 4),
+        # more points than codomain, fewer, and as many
+        (6, 6), (7, 3), (3, 6), (2, 5, 3), (5, 2, 5), (3, 2, 6),
+    ]
 
     @pytest.mark.parametrize("sizes", SIZES, ids=str)
     def test_matches_full_enumeration(self, sizes):
@@ -157,6 +166,54 @@ class TestFiberProfiles:
         profiles = _fiber_profiles((2, 3))
         assert isinstance(profiles, tuple)
         assert all(isinstance(fibers, tuple) for fibers, _ in profiles)
+
+    def test_long_level(self, deadline):
+        # 1,200 image points into one: a single partition, no recursion
+        assert _fiber_profiles((1200, 1)) == (((1200,), 1),)
+
+
+def relabelled(labels):
+    """The restricted growth string of the partition into the fibers
+    of ``labels``: each label renamed in order of first appearance."""
+    names = {}
+    return tuple(names.setdefault(y, len(names)) for y in labels)
+
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+
+class TestSetPartitions:
+    @pytest.mark.parametrize("points", range(9))
+    def test_bell_numbers(self, points):
+        for max_blocks in {max(points, 1), points + 1, 2 * points + 3}:
+            found = list(_set_partitions(points, max_blocks))
+            assert len(found) == BELL[points]
+            assert len(set(found)) == len(found)
+
+    @pytest.mark.parametrize("points", range(1, 7))
+    @pytest.mark.parametrize("max_blocks", range(1, 8))
+    def test_matches_relabelled_maps(self, points, max_blocks):
+        # every partition into at most max_blocks blocks is the kernel
+        # of some map into max_blocks points, and conversely
+        found = list(_set_partitions(points, max_blocks))
+        assert found == sorted(set(found))
+        assert set(found) == {
+            relabelled(f)
+            for f in product(range(max_blocks), repeat=points)
+        }
+
+    def test_restricted_growth(self):
+        for labels in _set_partitions(7, 4):
+            assert labels == relabelled(labels)
+            assert max(labels) < 4
+
+    def test_lazy(self, deadline):
+        # Bell(10^5) strings exist; the first is drawn without the rest
+        first = next(_set_partitions(10**5, 10**5))
+        assert first == (0,) * 10**5
+
+    def test_many_points_one_block(self, deadline):
+        assert list(_set_partitions(1200, 1)) == [(0,) * 1200]
 
 
 class TestMultinomialChain:
@@ -316,6 +373,9 @@ class TestBruteDegreeQ:
         for n in range(1, 4):
             for m in range(1, 4):
                 assert brute_expected_degree_q(n, m, 1) == 1
+
+    def test_singleton_into_a_million(self, deadline):
+        assert brute_expected_degree_q(1, 10**6, 1) == 1
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
