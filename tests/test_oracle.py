@@ -202,11 +202,6 @@ class TestSetPartitions:
             for f in product(range(max_blocks), repeat=points)
         }
 
-    def test_restricted_growth(self):
-        for labels in _set_partitions(7, 4):
-            assert labels == relabelled(labels)
-            assert max(labels) < 4
-
     def test_lazy(self, deadline):
         # Bell(10^5) strings exist; the first is drawn without the rest
         first = next(_set_partitions(10**5, 10**5))
