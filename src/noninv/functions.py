@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import sub
-from typing import Iterable, NoReturn, Sequence
+from operator import mul, sub
+from typing import Collection, Iterable, NoReturn, Sequence
 
 from .errors import (
     EmptySetError,
@@ -54,8 +54,9 @@ def fiber_sizes(images: Iterable[int], codomain_size: int) -> list[int]:
     return counts
 
 
-def _square_sum(values: Iterable[int]) -> int:
-    return sum(v * v for v in values)
+def _square_sum(values: Collection[int]) -> int:
+    """sum of v^2 over ``values``, which is read twice."""
+    return sum(map(mul, values, values))
 
 
 @dataclass(frozen=True)

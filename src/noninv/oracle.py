@@ -3,7 +3,12 @@
 Two kinds of oracle live here: enumeration over all function tuples,
 memoized on fiber profiles (exponential, budgeted by the full count),
 and direct evaluation of nested multinomial sums over weak compositions
-(polynomial per level, also budget-guarded).
+(polynomial per level, also budget-guarded).  Where a sum's summand is
+symmetric in the composition (every base 1), it is summed over the
+partitions of the total instead, each weighted by the compositions that
+sort to it; the other sums walk every composition, with the multinomial
+weight built as a running product along the walk.  Budgets still count
+the weak compositions of the sum as written.
 Each closed form in ``noninv.closed_form`` must agree exactly with at
 least one of these paths; the chain expectation has all three.
 
@@ -17,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
-from math import comb
+from itertools import chain, groupby, product
+from math import comb, factorial, perm
 from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 )
@@ -194,20 +199,70 @@ def count_weak_compositions(total: int, parts: int) -> int:
 def _weighted_composition_sum(
     total: int,
     bases: Sequence[int],
-    term: Callable[[tuple[int, ...]], int],
+    term: Callable[[Sequence[int]], int],
 ) -> int:
     """sum over weak compositions k of ``total`` into len(bases) parts of
     multinomial(total; k) * prod_i bases_i^k_i * term(k), with 0^0 = 1.
 
     multinomial(total; k) prod_i b_i^k_i counts the functions from a
     ``total``-set into blocks of sizes b_i with k_i points in block i.
+
+    An iterative depth-first walk, so any number of parts works.  The
+    weight is a running product over the prefix of k: with rems[i] =
+    total - sum(k[:i]), weights[i] = prod_{j<i} C(rems[j], k_j) b_j^k_j,
+    and the last part takes what is left.  A part on a zero base stays
+    0, since any other value weighs 0.  ``term`` gets k as a list that
+    the walk reuses, so it must not keep it.
+    """
+    parts = len(bases)
+    last = parts - 1
+    top = bases[last]
+    k = [0] * parts
+    rems = [total] * parts
+    weights = [1] * parts
+    acc = 0
+    while True:
+        rem = rems[last]
+        k[last] = rem
+        weight = weights[last] * top**rem
+        if weight:
+            acc += weight * term(k)
+        # the deepest part before the last that can take one more unit
+        j = last - 1
+        while j >= 0 and (k[j] == rems[j] or not bases[j]):
+            j -= 1
+        if j < 0:
+            return acc
+        kj = k[j] + 1
+        k[j] = kj
+        rem = rems[j] - kj
+        weight = weights[j] * comb(rems[j], kj) * bases[j] ** kj
+        for i in range(j + 1, parts):
+            k[i] = 0
+            rems[i] = rem
+            weights[i] = weight
+
+
+def _symmetric_composition_sum(
+    total: int, parts: int, term: Callable[[tuple[int, ...]], int]
+) -> int:
+    """sum over weak compositions k of ``total`` into ``parts`` parts of
+    multinomial(total; k) * term(k), for a ``term`` that depends on k only
+    through its sorted nonzero parts.
+
+    ``term`` is called once per partition lambda of ``total`` into at
+    most ``parts`` parts (largest part first, ``_partitions``), which
+    stands for the perm(parts, len(lambda)) / prod_j (mult_j)!
+    compositions that sort to it, mult_j running over the multiplicities
+    of lambda's distinct parts.  A term that counts zero parts too (such
+    as sum_i k_i^0) must add them itself: there are parts - len(lambda).
     """
     acc = 0
-    for k in weak_compositions(total, len(bases)):
-        weight = multinomial(total, k)
-        for b, ki in zip(bases, k):
-            weight *= b**ki
-        acc += weight * term(k)
+    for lam in _partitions(total, min(total, parts), total):
+        count = perm(parts, len(lam))
+        for _, run in groupby(lam):
+            count //= factorial(sum(1 for _ in run))
+        acc += count * multinomial(total, lam) * term(lam)
     return acc
 
 
@@ -243,6 +298,22 @@ def _set_partitions(
         for j in range(i + 1, points):
             labels[j] = 0
             opened[j] = top
+
+
+def _budgeted_profiles(
+    sizes: tuple[int, ...], budget: EnumerationBudget, what: str
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """``_fiber_profiles(sizes)``, checked against ``budget`` first on
+    every call, cached or not: the tuples a memo-free enumeration would
+    visit, prod n_{s+1}^{n_s}, then the n_1 points of the start profile,
+    which the walk holds (with lists of the same length) before it
+    visits anything.  Only the second check refuses (10^8, 1), one
+    tuple of 10^8 points."""
+    budget.check_powers(
+        [(cod, dom) for dom, cod in zip(sizes, sizes[1:])], what
+    )
+    budget.check(sizes[0], f"start profile of {what}")
+    return _fiber_profiles(sizes)
 
 
 @lru_cache(maxsize=4)
@@ -292,17 +363,15 @@ def brute_expected_degree_chain(
     spec: ChainSpec, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> Fraction:
     """Exact average of deg(f_t o ... o f_1) over all function tuples,
-    read from ``_fiber_profiles``.  The budget counts the tuples a
-    memo-free enumeration would visit, ``spec.tuple_count()``.
+    read from ``_fiber_profiles`` under the budget of
+    ``_budgeted_profiles``.
     """
     sizes = spec.sizes
-    budget.check_powers(
-        [(sizes[s + 1], sizes[s]) for s in range(spec.t)],
-        f"chain enumeration for {sizes}",
-    )
     total = sum(
         tuples * _square_sum(fibers)
-        for fibers, tuples in _fiber_profiles(sizes)
+        for fibers, tuples in _budgeted_profiles(
+            sizes, budget, f"chain enumeration for {sizes}"
+        )
     )
     return Fraction(total, sizes[0] * spec.tuple_count())
 
@@ -335,9 +404,10 @@ def _nested_sum_work(sizes: Sequence[int], limit: int) -> Optional[int]:
     """Compositions the memoized nested sum visits at most, or None once
     the count exceeds ``limit``.
 
-    The top level visits the weak compositions of n_t into n_{t+1} parts.
-    Level s < t visits, per memo key, the compositions of n_s supported
-    on the key's parts.  Its keys are partitions of n_{s+1} with at most
+    The top level counts the weak compositions of n_t into n_{t+1} parts:
+    it is summed over their partitions, but the budget counts the sum as
+    written.  Level s < t visits, per memo key, the compositions of n_s
+    supported on the key's parts.  Its keys are partitions of n_{s+1} with at most
     min(n_{s+1}, ..., n_{t+1}) parts, since a profile never has more
     nonzero parts than the one above it.
     """
@@ -374,11 +444,17 @@ def multinomial_expected_degree_chain(
     Each lower level is summed once per key, the sorted nonzero parts of
     k_{s+1}: the level sum is symmetric in k_{s+1}, and a zero part
     forces k_{s,i} = 0 (0^k = 0 for k >= 1), so only compositions
-    supported on the nonzero parts are visited.  The levels are summed
-    bottom-up.  The keys of level s are the partitions of n_{s+1} with
-    at most min(n_{s+1}, ..., n_{t+1}) parts, and the level above reaches
-    every one of them; ``_nested_sum_work`` counts the same compositions
-    up front for the budget.
+    supported on the nonzero parts are visited, each weighted by a
+    running product along the walk (``_weighted_composition_sum``).  The
+    levels are summed bottom-up.  The keys of level s are the partitions
+    of n_{s+1} with at most min(n_{s+1}, ..., n_{t+1}) parts, and the
+    level above reaches every one of them.  The top level's bases are
+    all 1, so its summand depends on k_t only through its key, and it
+    is summed over those partitions of n_t instead, each weighted by the
+    compositions that sort to it (``_symmetric_composition_sum``): one
+    partition for (1, 10^6) in place of 10^6 compositions.
+    ``_nested_sum_work`` counts the compositions of the sum as written,
+    top level included, up front for the budget.
     """
     sizes = spec.sizes
     t = spec.t
@@ -386,14 +462,14 @@ def multinomial_expected_degree_chain(
         _nested_sum_work(sizes, budget.max_states),
         f"nested-sum oracle for {sizes}",
     )
-    term: Callable[[tuple[int, ...]], int] = _square_sum
+    term: Callable[[Sequence[int]], int] = _square_sum
     for s in range(1, t):
         sums = {
             key: _weighted_composition_sum(sizes[s - 1], key, term)
             for key in _partitions(sizes[s], min(sizes[s:]), sizes[s])
         }
         term = lambda k, sums=sums: sums[_profile(k)]
-    total = _weighted_composition_sum(sizes[t - 1], (1,) * sizes[t], term)
+    total = _symmetric_composition_sum(sizes[t - 1], sizes[t], term)
     return Fraction(total, sizes[0] * spec.tuple_count())
 
 
@@ -404,16 +480,18 @@ def brute_expected_degree_q(
 
     The functions are enumerated once per (n, m) into the fiber profiles
     of the chain (n, m) (``_fiber_profiles``), which every q then reads;
-    the budget counts the m^n functions on every call, before the cache.
+    ``_budgeted_profiles`` counts the m^n functions, then the n points,
+    on every call, before the cache.
     """
     if n < 1 or m < 1:
         raise InvalidSizeError(f"set sizes must be >= 1, got ({n}, {m})")
     if q < 1:
         raise InvalidExponentError(f"exponent must be >= 1, got {q}")
-    budget.check_powers([(m, n)], f"enumeration of all functions ({n}, {m})")
     total = sum(
         count * sum(c**q for c in fibers)
-        for fibers, count in _fiber_profiles((n, m))
+        for fibers, count in _budgeted_profiles(
+            (n, m), budget, f"enumeration of all functions ({n}, {m})"
+        )
     )
     return Fraction(total, n * m**n)
 
@@ -424,7 +502,11 @@ def multinomial_power_sum(
     """sum over weak compositions k of n into m parts of
     multinomial(n; k) * sum_i k_i^q, with 0^0 = 1 when q = 0.
 
-    Direct summation; the closed-form counterpart is
+    Direct summation, over the partitions lambda of n into at most m
+    parts, since the summand is symmetric in k
+    (``_symmetric_composition_sum``); the m - len(lambda) zero parts add
+    0^q each.  The budget counts the weak compositions of the sum as
+    written.  The closed-form counterpart is
     ``noninv.closed_form.closed_multinomial_power_sum``.
     """
     if n < 1 or m < 1:
@@ -435,8 +517,9 @@ def multinomial_power_sum(
         _count_weak_compositions(n, m, budget._ceiling),
         f"weak compositions of {n} into {m} parts",
     )
-    return _weighted_composition_sum(
-        n, (1,) * m, lambda k: sum(ki**q for ki in k)
+    zero = 0**q
+    return _symmetric_composition_sum(
+        n, m, lambda lam: sum(p**q for p in lam) + (m - len(lam)) * zero
     )
 
 

@@ -18,7 +18,7 @@ from noninv import (
     montecarlo,
     stirling1_signed,
 )
-from noninv import cli
+from noninv import cli, oracle
 from noninv.cli import run
 
 
@@ -199,6 +199,48 @@ class TestVerify:
         )
         assert code == 0
         assert "match=true" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("degq", "--n", "1", "--m", "1000000", "--qmax", "1"),
+        ("chain", "--sizes", "1,1000000"),
+    ], ids=["degq", "chain"])
+    def test_one_point_into_a_million(self, capsys, deadline, argv):
+        # 10^6 compositions of length 10^6 as written; one partition
+        code, out, _ = invoke(capsys, "verify", *argv, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_match"] is True
+        assert len(doc["results"]) == 2
+        assert all(r["match"] for r in doc["results"])
+
+    @pytest.mark.parametrize("argv, check, what", [
+        (("degq", "--n", "1001", "--m", "1", "--qmax", "1"),
+         "degq-enumeration", "enumeration of all functions (1001, 1)"),
+        (("chain", "--sizes", "1001,1"),
+         "chain-enumeration", "chain enumeration for (1001, 1)"),
+    ], ids=["degq", "chain"])
+    def test_start_profile_over_budget_skips(
+        self, capsys, monkeypatch, argv, check, what
+    ):
+        # one tuple, but 1001 start points: refused before the walk
+        def walked(*_args):
+            raise AssertionError("enumerated before refusing")
+
+        monkeypatch.setattr(oracle, "_set_partitions", walked)
+        oracle._fiber_profiles.cache_clear()
+        code, out, _ = invoke(
+            capsys, "verify", *argv, "--budget", "1000", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_match"] is True
+        nested, skipped = doc["results"]
+        assert nested["match"]
+        assert skipped == {
+            "check": check,
+            "skipped": f"start profile of {what} needs 1001 enumerated "
+                       f"objects, budget is 1000",
+        }
 
     @pytest.mark.parametrize("argv", [
         ("verify", "degq", "--n", "2", "--m", "2", "--qmax", "0"),

@@ -6,6 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noninv import (
     DEFAULT_BUDGET,
@@ -26,11 +27,18 @@ from noninv import (
     multinomial_power_sum,
     weak_compositions,
 )
+from noninv import oracle
+from noninv.combinatorics import multinomial
+from noninv.functions import _square_sum
 from noninv.oracle import (
     _count_weak_compositions,
     _fiber_profiles,
     _nested_sum_work,
+    _partitions,
+    _profile,
     _set_partitions,
+    _symmetric_composition_sum,
+    _weighted_composition_sum,
 )
 
 
@@ -468,6 +476,156 @@ class TestSquareMomentIdentity:
             check_square_moment_identity(2, ())
         with pytest.raises(InvalidSizeError):
             check_square_moment_identity(2, (-1, 2))
+
+
+def reference_composition_sum(total, bases, term):
+    """The composition sum walked term for term: every weak composition,
+    one ``multinomial`` and one power loop each."""
+    acc = 0
+    for k in weak_compositions(total, len(bases)):
+        weight = multinomial(total, k)
+        for b, ki in zip(bases, k):
+            weight *= b**ki
+        acc += weight * term(k)
+    return acc
+
+
+def reference_nested_sum(sizes):
+    """The nested chain sum with every level, the top one included,
+    summed by ``reference_composition_sum``."""
+    t = len(sizes) - 1
+    term = _square_sum
+    for s in range(1, t):
+        sums = {
+            key: reference_composition_sum(sizes[s - 1], key, term)
+            for key in _partitions(sizes[s], min(sizes[s:]), sizes[s])
+        }
+        term = lambda k, sums=sums: sums[_profile(k)]
+    total = reference_composition_sum(sizes[t - 1], (1,) * sizes[t], term)
+    return Fraction(total, sizes[0] * ChainSpec(sizes).tuple_count())
+
+
+def power_term(q):
+    """sum_i k_i^q over every part of a composition, zeros included."""
+    return lambda k: sum(ki**q for ki in k)
+
+
+def partition_power_term(q, parts):
+    """``power_term(q)`` read from the nonzero parts of a composition
+    into ``parts`` parts: each zero part adds 0^q."""
+    return lambda lam: sum(p**q for p in lam) + (parts - len(lam)) * 0**q
+
+
+class TestCompositionKernels:
+    """The walk and the partition sum against the term-for-term sum."""
+
+    @given(
+        total=st.integers(0, 6),
+        bases=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_match_reference(self, total, bases, data):
+        parts = len(bases)
+        table = {
+            lam: data.draw(st.integers(-100, 100), label=str(lam))
+            for lam in _partitions(total, parts, total)
+        }
+        lookup = lambda k: table[_profile(k)]  # noqa: E731
+        terms = [
+            (_square_sum, _square_sum),
+            *((power_term(q), partition_power_term(q, parts))
+              for q in range(6)),
+            (lookup, lookup),
+        ]
+        ones = (1,) * parts
+        for term, symmetric in terms:
+            assert _weighted_composition_sum(total, bases, term) == (
+                reference_composition_sum(total, bases, term)
+            )
+            assert _symmetric_composition_sum(total, parts, symmetric) == (
+                reference_composition_sum(total, ones, term)
+            )
+
+    def test_nested_sum_grid(self):
+        for length in (2, 3, 4):
+            for sizes in product(range(1, 5), repeat=length):
+                assert multinomial_expected_degree_chain(
+                    ChainSpec(sizes)
+                ) == reference_nested_sum(sizes), sizes
+
+    @pytest.mark.parametrize(
+        "sizes", [(8, 8, 8), (5, 5, 5, 5), (6, 3, 7, 2)], ids=str
+    )
+    def test_nested_sum_larger(self, sizes):
+        assert multinomial_expected_degree_chain(
+            ChainSpec(sizes)
+        ) == reference_nested_sum(sizes)
+
+    def test_power_sum_grid(self):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                for q in range(7):
+                    assert multinomial_power_sum(n, m, q) == (
+                        reference_composition_sum(n, (1,) * m, power_term(q))
+                    ), (n, m, q)
+
+    def test_one_point_into_a_million(self, deadline):
+        # 10^6 compositions of length 10^6 as written, one partition
+        assert multinomial_power_sum(1, 10**6, 1) == 10**6
+        assert multinomial_power_sum(1, 10**6, 0) == 10**12
+        assert multinomial_expected_degree_chain(ChainSpec((1, 10**6))) == 1
+
+    def test_walk_is_not_recursive(self, deadline):
+        # the walk goes 10^4 parts deep; only the first and last weigh
+        bases = (1,) + (0,) * 9998 + (1,)
+        assert _weighted_composition_sum(1, bases, _square_sum) == 2
+        report = check_square_moment_identity(1, bases)
+        assert report.match and report.oracle_value == 2
+
+
+class TestStartProfileBudget:
+    """The enumeration refuses more start points than the budget before
+    it builds the start profile."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def walked(*_args):
+            raise AssertionError("enumerated before refusing")
+
+        monkeypatch.setattr(oracle, "_set_partitions", walked)
+        _fiber_profiles.cache_clear()
+
+    def test_chain_refused(self, no_walk):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_expected_degree_chain(
+                ChainSpec((1001, 1)), EnumerationBudget(1000)
+            )
+        assert str(info.value) == (
+            "start profile of chain enumeration for (1001, 1) needs 1001 "
+            "enumerated objects, budget is 1000"
+        )
+
+    def test_degq_refused(self, no_walk):
+        with pytest.raises(BudgetExceededError) as info:
+            brute_expected_degree_q(1001, 1, 1, EnumerationBudget(1000))
+        assert str(info.value) == (
+            "start profile of enumeration of all functions (1001, 1) needs "
+            "1001 enumerated objects, budget is 1000"
+        )
+
+    def test_tuples_checked_first(self, no_walk):
+        with pytest.raises(BudgetExceededError, match="^chain enumeration"):
+            brute_expected_degree_chain(
+                ChainSpec((1001, 2)), EnumerationBudget(1000)
+            )
+
+    def test_at_the_budget(self):
+        # a constant map on 1000 points: deg = 1000
+        budget = EnumerationBudget(1000)
+        assert brute_expected_degree_chain(
+            ChainSpec((1000, 1)), budget
+        ) == 1000
+        assert brute_expected_degree_q(1000, 1, 2, budget) == 1000
 
 
 class TestVerificationReport:
