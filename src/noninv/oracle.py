@@ -308,7 +308,8 @@ def _budgeted_profiles(
     visit, prod n_{s+1}^{n_s}, then the n_1 points of the start profile,
     which the walk holds (with lists of the same length) before it
     visits anything.  Only the second check refuses (10^8, 1), one
-    tuple of 10^8 points."""
+    tuple of 10^8 points.  A later profile has n_{s+1} entries, at most
+    n_{s+1}^{n_s}, so the first check bounds it."""
     budget.check_powers(
         [(cod, dom) for dom, cod in zip(sizes, sizes[1:])], what
     )
@@ -407,9 +408,9 @@ def _nested_sum_work(sizes: Sequence[int], limit: int) -> Optional[int]:
     The top level counts the weak compositions of n_t into n_{t+1} parts:
     it is summed over their partitions, but the budget counts the sum as
     written.  Level s < t visits, per memo key, the compositions of n_s
-    supported on the key's parts.  Its keys are partitions of n_{s+1} with at most
-    min(n_{s+1}, ..., n_{t+1}) parts, since a profile never has more
-    nonzero parts than the one above it.
+    supported on the key's parts.  Its keys are partitions of n_{s+1}
+    with at most min(n_{s+1}, ..., n_{t+1}) parts, since a profile never
+    has more nonzero parts than the one above it.
     """
     t = len(sizes) - 1
     levels = chain(
