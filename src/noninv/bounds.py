@@ -12,10 +12,10 @@ size (see ``_bounds_hold``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import SizeMismatchError
 from .functions import FiniteFunction, _square_sum, compose, fiber_sizes
 
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """Both sides of the composition bounds for one pair (f, g).
 
     ``new_bound`` is max_fiber(f) * deg(g).  The squared pair compares
@@ -40,11 +39,29 @@ class BoundReport:
     bound (squared).
     """
 
-    deg_composition: Fraction
-    new_bound: Fraction
-    old_bound_squared_scaled: tuple[Fraction, Fraction]
-    new_holds: bool
-    chain_holds: bool
+    __slots__ = _fields = (
+        "deg_composition",
+        "new_bound",
+        "old_bound_squared_scaled",
+        "new_holds",
+        "chain_holds",
+    )
+
+    def __init__(
+        self,
+        deg_composition: Fraction,
+        new_bound: Fraction,
+        old_bound_squared_scaled: tuple[Fraction, Fraction],
+        new_holds: bool,
+        chain_holds: bool,
+    ):
+        object.__setattr__(self, "deg_composition", deg_composition)
+        object.__setattr__(self, "new_bound", new_bound)
+        object.__setattr__(
+            self, "old_bound_squared_scaled", old_bound_squared_scaled
+        )
+        object.__setattr__(self, "new_holds", new_holds)
+        object.__setattr__(self, "chain_holds", chain_holds)
 
 
 def _bounds_hold(

@@ -8,10 +8,11 @@ and the test suite asserts exact agreement between the paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Iterable
 
+from ._frozen import Frozen
 from .combinatorics import binomial, stirling1_rows, stirling2_row
 from .errors import InvalidExponentError, InvalidSizeError
 
@@ -27,25 +28,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Frozen):
     """Sizes (n_1, ..., n_{t+1}) of the sets in a composition chain.
 
     A chain of t >= 1 functions f_s: X_s -> X_{s+1} needs t+1 sets, so
     the size vector has length >= 2.
     """
 
-    sizes: tuple[int, ...]
+    __slots__ = _fields = ("sizes",)
 
-    def __post_init__(self):
-        sizes = tuple(self.sizes)
-        object.__setattr__(self, "sizes", sizes)
+    def __init__(self, sizes: Iterable[int]):
+        sizes = tuple(sizes)
         if len(sizes) < 2:
             raise InvalidSizeError(
                 f"a chain needs at least 2 set sizes, got {len(sizes)}"
             )
         if any(n < 1 for n in sizes):
             raise InvalidSizeError(f"set sizes must be >= 1, got {sizes}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def t(self) -> int:

@@ -9,7 +9,6 @@ relies on.
 from __future__ import annotations
 
 import math
-import threading
 from operator import add, mul
 from typing import Sequence
 
@@ -84,21 +83,15 @@ class StirlingTable:
     recurrences {n+1, k} = k{n, k} + {n, k-1} and
     [n+1, k] = n[n, k] + [n, k-1].  ``ensure`` is the only place rows
     grow; it refuses rows past ``MAX_STIRLING_ROWS`` before building any.
-
-    Growth appends only fully built rows under a lock, so concurrent
-    readers never observe a partial row; a built table is effectively
-    immutable.  Call ``ensure(n)`` to pre-size before sharing across
-    threads if you want to avoid any locking on the read path.  Hot
-    loops read whole rows (``second_row``, ``first_rows``) and index the
-    tuples, so they pay one ``ensure`` per row or per triangle, not per
-    entry.
+    Hot loops read whole rows (``second_row``, ``first_rows``) and index
+    the tuples, so they pay one ``ensure`` per row or per triangle, not
+    per entry.
     """
 
     def __init__(self, max_n: int = 0):
         # row n holds entries k = 0..n
         self._second: list[tuple[int, ...]] = [(1,)]
         self._first: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
         self.ensure(max_n)
 
     @property
@@ -110,21 +103,20 @@ class StirlingTable:
         if n <= self.max_n:
             return
         check_stirling_rows(n)
-        with self._lock:
-            second, first = self._second, self._first
-            while len(second) <= n:
-                row_n = len(second) - 1
-                prev2, prev1 = second[row_n], first[row_n]
-                # entry k of each map pairs row n at k (padded with a
-                # trailing 0) with row n at k - 1 (shifted by a leading 0)
-                second.append(tuple(map(
-                    add,
-                    map(mul, range(row_n + 2), prev2 + (0,)),
-                    (0,) + prev2,
-                )))
-                first.append(tuple(map(
-                    add, map(row_n.__mul__, prev1 + (0,)), (0,) + prev1
-                )))
+        second, first = self._second, self._first
+        while len(second) <= n:
+            row_n = len(second) - 1
+            prev2, prev1 = second[row_n], first[row_n]
+            # entry k of each map pairs row n at k (padded with a
+            # trailing 0) with row n at k - 1 (shifted by a leading 0)
+            second.append(tuple(map(
+                add,
+                map(mul, range(row_n + 2), prev2 + (0,)),
+                (0,) + prev2,
+            )))
+            first.append(tuple(map(
+                add, map(row_n.__mul__, prev1 + (0,)), (0,) + prev1
+            )))
 
     def second(self, n: int, k: int) -> int:
         """{n brace k}: partitions of an n-set into k nonempty blocks."""

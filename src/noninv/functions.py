@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul, sub
 from typing import Collection, Iterable, NoReturn, Sequence
 
+from ._frozen import Frozen
 from .errors import (
     EmptySetError,
     FunctionFileError,
@@ -59,47 +59,48 @@ def _square_sum(values: Collection[int]) -> int:
     return sum(map(mul, values, values))
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
+class FiniteFunction(Frozen):
     """An explicit function between two finite nonempty indexed sets.
 
     Immutable; all derived quantities are pure functions of the image
-    tuple, so instances are safe to share between threads.  The fibers
-    are counted once, on first use, and kept for ``degree``,
-    ``degree_q`` and ``max_fiber``.
+    tuple.  The fibers are counted once, on first use, and kept for
+    ``degree``, ``degree_q`` and ``max_fiber``.
     """
 
-    domain_size: int
-    codomain_size: int
-    images: tuple[int, ...]
+    _fields = ("domain_size", "codomain_size", "images")
+    # _fibers is set by fiber_sizes() on first use; not a field, so it
+    # takes no part in ==, hash or repr
+    __slots__ = _fields + ("_fibers",)
 
-    def __post_init__(self):
-        if self.domain_size < 1 or self.codomain_size < 1:
+    def __init__(
+        self, domain_size: int, codomain_size: int, images: Iterable[int]
+    ):
+        if domain_size < 1 or codomain_size < 1:
             raise EmptySetError(
                 f"domain and codomain must be nonempty, got sizes "
-                f"({self.domain_size}, {self.codomain_size})"
+                f"({domain_size}, {codomain_size})"
             )
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.domain_size:
+        images = tuple(images)
+        if len(images) != domain_size:
             raise LengthMismatchError(
-                f"expected {self.domain_size} images, got {len(images)}"
+                f"expected {domain_size} images, got {len(images)}"
             )
         # exact types: a bool or a float is not an image
         if not (set(map(type, images)) <= {int} and 0 <= min(images)
-                and max(images) < self.codomain_size):
+                and max(images) < codomain_size):
             for x, y in enumerate(images):
                 if type(y) is not int:
                     raise OutOfRangeImageError(
                         f"image of {x} is {y!r}, not an integer"
                     )
-                if not 0 <= y < self.codomain_size:
+                if not 0 <= y < codomain_size:
                     raise OutOfRangeImageError(
                         f"image of {x} is {y}, outside "
-                        f"[0, {self.codomain_size})"
+                        f"[0, {codomain_size})"
                     )
-        # set by fiber_sizes() on first use; not a field, so it takes no
-        # part in ==, hash or repr
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "codomain_size", codomain_size)
+        object.__setattr__(self, "images", images)
         object.__setattr__(self, "_fibers", None)
 
     def __call__(self, x: int) -> int:

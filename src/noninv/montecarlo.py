@@ -54,12 +54,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen
 from .closed_form import ChainSpec, expected_degree_chain, expected_degree_iterate
 from .errors import BudgetExceededError, InvalidSizeError
 from .functions import FiniteFunction, _square_sum, fiber_sizes
@@ -194,27 +194,26 @@ def derived_stream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(_mix64((seed + (index + 1) * _GAMMA) & _MASK64))
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Frozen):
     """Seed, sample count and sizes for one estimation run."""
 
-    seed: int
-    samples: int
-    sizes: Optional[ChainSpec] = None
+    __slots__ = _fields = ("seed", "samples", "sizes")
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
+    def __init__(
+        self, seed: int, samples: int, sizes: Optional[ChainSpec] = None
+    ):
+        if not 0 <= seed < 1 << 64:
             raise InvalidSizeError(
-                f"seed must be a 64-bit unsigned integer, got {self.seed}"
+                f"seed must be a 64-bit unsigned integer, got {seed}"
             )
-        if self.samples < 1:
-            raise InvalidSizeError(
-                f"samples must be >= 1, got {self.samples}"
-            )
+        if samples < 1:
+            raise InvalidSizeError(f"samples must be >= 1, got {samples}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "sizes", sizes)
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Frozen):
     """Monte Carlo estimate with its exact reference value, when one exists.
 
     ``z_score`` is (mean - closed_form) / std_error, present only when a
@@ -222,13 +221,33 @@ class EstimateReport:
     ``theta_ratio`` is mean / (log n / log log n) for max-fiber runs.
     """
 
-    mean: float
-    std_error: float
-    closed_form: Optional[Fraction]
-    z_score: Optional[float]
-    samples: int
-    seed: int
-    theta_ratio: Optional[float] = None
+    __slots__ = _fields = (
+        "mean",
+        "std_error",
+        "closed_form",
+        "z_score",
+        "samples",
+        "seed",
+        "theta_ratio",
+    )
+
+    def __init__(
+        self,
+        mean: float,
+        std_error: float,
+        closed_form: Optional[Fraction],
+        z_score: Optional[float],
+        samples: int,
+        seed: int,
+        theta_ratio: Optional[float] = None,
+    ):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std_error", std_error)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "z_score", z_score)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "theta_ratio", theta_ratio)
 
 
 def sample_function(n: int, m: int, stream: SplitMix64) -> FiniteFunction:

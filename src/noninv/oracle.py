@@ -19,7 +19,6 @@ least one of these paths; the chain expectation has all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, product
@@ -28,6 +27,7 @@ from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 )
 
+from ._frozen import Frozen
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
 from .errors import BudgetExceededError, InvalidExponentError, InvalidSizeError
@@ -53,17 +53,15 @@ __all__ = [
 _EXACT_COUNT_CEILING = 10**100
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Frozen):
     """Cap on the number of objects an oracle may enumerate."""
 
-    max_states: int = 10**6
+    __slots__ = _fields = ("max_states",)
 
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise InvalidSizeError(
-                f"budget must be >= 1, got {self.max_states}"
-            )
+    def __init__(self, max_states: int = 10**6):
+        if max_states < 1:
+            raise InvalidSizeError(f"budget must be >= 1, got {max_states}")
+        object.__setattr__(self, "max_states", max_states)
 
     @property
     def _ceiling(self) -> int:
@@ -134,14 +132,24 @@ def _count_weak_compositions(
     return value
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Paired (oracle value, closed-form value) for one parameter point."""
 
-    parameters: Mapping[str, int]
-    oracle_value: Fraction
-    closed_value: Fraction
-    match: bool
+    __slots__ = _fields = (
+        "parameters", "oracle_value", "closed_value", "match"
+    )
+
+    def __init__(
+        self,
+        parameters: Mapping[str, int],
+        oracle_value: Fraction,
+        closed_value: Fraction,
+        match: bool,
+    ):
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "oracle_value", oracle_value)
+        object.__setattr__(self, "closed_value", closed_value)
+        object.__setattr__(self, "match", match)
 
     @staticmethod
     def compare(

@@ -1,6 +1,5 @@
 """CLI surface: dispatch, formats, exit codes."""
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -8,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from noninv import (
+    BoundReport,
     ChainSpec,
     FiniteFunction,
     VerificationReport,
@@ -530,6 +530,17 @@ def _failing_square_moment(m, parts):
     )
 
 
+def _failing_bounds(f, g):
+    report = compare_bounds(f, g)
+    return BoundReport(
+        deg_composition=report.deg_composition,
+        new_bound=report.new_bound,
+        old_bound_squared_scaled=report.old_bound_squared_scaled,
+        new_holds=False,
+        chain_holds=report.chain_holds,
+    )
+
+
 class TestMismatch:
     """A failed check exits 1 and says so, in text and in JSON: each case
     patches the name the handler calls so that one check fails."""
@@ -547,9 +558,7 @@ class TestMismatch:
         ("stirling_identity_sum", lambda q: 2,
          ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
          "match=false"),
-        ("compare_bounds",
-         lambda f, g: dataclasses.replace(compare_bounds(f, g),
-                                          new_holds=False),
+        ("compare_bounds", _failing_bounds,
          ["bounds", "OUTER", "INNER"], "new_holds=false"),
     ]
 

@@ -1,7 +1,6 @@
 """Combinatorial primitives against brute-force counting oracles."""
 
 import math
-import threading
 from itertools import permutations
 
 import pytest
@@ -266,25 +265,6 @@ class TestStirlingTable:
         rows = table.first_rows(3)
         rows.append(())
         assert table.first_rows(5)[4] == (0, 6, 11, 6, 1)
-
-    def test_concurrent_growth(self):
-        table = StirlingTable()
-        results = []
-
-        def worker(n):
-            results.append(table.second(n, 2))
-
-        threads = [
-            threading.Thread(target=worker, args=(n,)) for n in (40, 60, 50, 60)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        reference = StirlingTable(60)
-        assert sorted(results) == sorted(
-            reference.second(n, 2) for n in (40, 60, 50, 60)
-        )
 
 
 class TestRowCap:

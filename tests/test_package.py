@@ -48,6 +48,26 @@ def test_every_import_is_used(path):
     assert imported <= used, f"unused: {sorted(imported - used)}"
 
 
+# dataclasses pulls in the rest; together they cost a cold call ~10 ms
+HEAVY_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+
+
+@pytest.mark.parametrize("module", ["noninv", "noninv.cli"])
+def test_import_leaves_out_heavy_modules(module):
+    # a fresh interpreter, as this one has imported ast itself; modules
+    # that site loaded before the import are not the package's
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; before = set(sys.modules); import {module}; "
+         f"new = set(sys.modules) - before; "
+         f"print(sorted(new.intersection({HEAVY_MODULES!r})))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.fixture(scope="module")
 def function_files(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("tracer")
