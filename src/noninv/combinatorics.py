@@ -83,9 +83,10 @@ class StirlingTable:
     recurrences {n+1, k} = k{n, k} + {n, k-1} and
     [n+1, k] = n[n, k] + [n, k-1].  ``ensure`` is the only place rows
     grow; it refuses rows past ``MAX_STIRLING_ROWS`` before building any.
-    Hot loops read whole rows (``second_row``, ``first_rows``) and index
-    the tuples, so they pay one ``ensure`` per row or per triangle, not
-    per entry.
+    Growth takes no lock, so threads may share a table only for rows
+    that ``ensure`` has already built.  Hot loops read whole rows
+    (``second_row``, ``first_rows``) and index the tuples, so they pay
+    one ``ensure`` per row or per triangle, not per entry.
     """
 
     def __init__(self, max_n: int = 0):
