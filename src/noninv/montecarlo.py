@@ -12,31 +12,36 @@ Uniform integers below a bound b are drawn by rejection, several from
 each word.  Let k be the largest number of digits with b^k <= 2^64 (at
 most 64, as for b = 2).  A word z is accepted when z < floor(2^64 /
 b^k) * b^k, so z mod b^k is uniform and its k base-b digits are k
-independent uniform draws, read low digit first.  Each draw call starts
-on a fresh word and reads from its last word only the digits it still
-needs.  Bounds above 2^64, which no word could meet, are refused.  For
-b > 2^32, k = 1 and each draw takes one word, as in version 2.
+independent uniform draws, read low digit first.  Bounds above 2^64,
+which no word could meet, are refused.  For b > 2^32, k = 1 and each
+draw takes one word, as in version 2.
 
-A chain sample draws f_1 at every point of X_1 = 0..n_1-1, in order,
-in one call of n_1 draws below n_2.  Each later f_s is drawn only at
-the image points of the partial composition g = f_{s-1} o ... o f_1, in
-one call of one draw below n_{s+1} per point, in order of first
-appearance of g(x) as x runs over 0..n_1-1: the composition's degree
-depends on f_s only there.  A max-fiber sample draws its n images in
-one call.  This is version ``STREAM_CONTRACT`` (3) of the contract.
-Version 2 took one word per draw: on 50,50,50,50 a chain sample read
-about 105 words, where it now reads about 14 (11 draws per word below
-50, about a fifth of the words rejected).  Version 1 drew every f_s at
-all of X_s.
+Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i
+has its own SplitMix64 stream whose initial state is the i-th output
+word of a SplitMix64 stream seeded with the master seed
+(``derived_stream(seed, i)``).  In block i, every draw below a bound b
+reads the next unread digit of one digit stream per bound: the base-b
+digits of the stream ``derived_stream(derived_stream(seed, i)._state,
+b)``, word after accepted word.  No digit is dropped inside a block;
+the digits left over when a block ends are discarded.  SplitMix64 is
+counter-based, so each of these streams depends only on (seed, i, b):
+blocks are independent of each other and of the order they run in.
+Per-block partial sums are exact integers, so their total is the same
+in any order.  The block size is part of the stream contract: changing
+it changes the report.
 
-Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i uses
-its own SplitMix64 stream whose initial state is the i-th output word of
-a SplitMix64 stream seeded with the master seed.  SplitMix64 is
-counter-based, so block i's stream depends only on (seed, i): blocks are
-independent of each other and of the order they run in.  Per-block
-partial sums are exact integers, so their total is the same in any
-order.  The block size is part of the stream contract: changing it
-changes the report.
+A chain sample takes n_1 draws below n_2 for f_1 at x = 0..n_1-1, in
+order.  Each later f_s is drawn only at the image points of the partial
+composition g = f_{s-1} o ... o f_1, one draw below n_{s+1} per point,
+in order of first appearance of g(x) as x runs over 0..n_1-1: the
+composition's degree depends on f_s only there.  A max-fiber sample
+takes its n draws in order.  This is version ``STREAM_CONTRACT`` (4) of
+the contract.  Version 3 drew from one stream per block, and each draw
+call (f_1, each later map, a max-fiber map) started on a fresh word and
+dropped the digits of its last word it did not need: on a 20-set chain
+of 20 a sample read about 20.6 words, where it now reads about 7.7.
+Version 2 took one word per draw, and version 1 drew every f_s at all
+of X_s.
 
 All reference values stay exact rationals; floats appear only in the
 reported mean, standard error and z-score.
@@ -45,9 +50,12 @@ Each run draws at most ``MAX_DRAWS`` values: samples times the
 per-sample bound n_1 + sum over s = 2..t of min(n_1, n_s) for a chain
 (the image of g has at most min(n_1, n_s) points), or samples times n
 for max fibers.  The cap counts draws, not words.  A run whose bound
-exceeds the cap is refused before any drawing.  A sample draws f_1 (or
-its max-fiber map) in chunks cut between words and counts them as it
-goes, so it holds its fiber counts, not its draws.
+exceeds the cap is refused before any drawing.  Each digit stream is
+drawn in batches of whole words, sized from its bound's share of the
+per-sample bound: at least one word each, and together at most
+``_DRAW_CHUNK`` digits beyond one word per bound.  The batch size
+changes no draw, and a sample holds its fiber counts and the batches,
+not its draws.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
@@ -84,16 +92,18 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 BLOCK_SAMPLES = 1024
-STREAM_CONTRACT = 3
+STREAM_CONTRACT = 4
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
-# draws).  _draw makes about 5.5M draws/s below 50, 3.5M below 10^4 and
-# 1.1M above 2^32, one per word (CPython 3.11.7, one core of a 2-core
-# VM); chain sampling on 50,50,50,50 runs at 2-2.5M draws/s with its
-# counting, so a run at the cap takes 40-50 s
+# draws).  _draw makes about 6-7M draws/s below 50, 3-4M below 10^4 and
+# 1-1.5M above 2^32, one per word (whole-word requests, CPython 3.11.7,
+# one core of a 2-core VM whose speed drifts by up to a third); chain
+# sampling on 50,50,50,50 runs at 2.6-3.7M draws/s with its counting
+# (28-40 us a sample of about 105 draws), so a run at the cap takes
+# 27-38 s
 MAX_DRAWS = 10**8
-# the draws of f_1 in a sample are made and counted about this many at a
-# time (whole words' digits), so a sample holds its fiber counts and one
-# chunk, not n draws
+# the batches of a block's digit streams hold at most this many digits
+# beyond one word per bound, so a sample holds its fiber counts and the
+# batches, not n draws
 _DRAW_CHUNK = 1 << 16
 
 
@@ -145,8 +155,8 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     A word z is accepted when z < floor(2^64 / b^k) * b^k, so z mod b^k
     is uniform; its k base-b digits, low digit first, are k independent
     draws.  The call reads only the digits it still needs from its last
-    word and drops the rest; the next call starts on a fresh word.  A
-    bound above 2^64 is refused: no word would be accepted."""
+    word and drops the rest (the block samplers ask for whole words).
+    A bound above 2^64 is refused: no word would be accepted."""
     if bound > 1 << 64:
         raise InvalidSizeError(
             f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
@@ -170,22 +180,6 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
                 z //= bound
                 append(z % bound)
     return state, draws
-
-
-def _draw_chunks(
-    stream: SplitMix64, bound: int, count: int
-) -> Iterator[list[int]]:
-    """``count`` draws below ``bound`` from ``stream`` in lists of about
-    ``_DRAW_CHUNK`` (a whole number of words' digits, at least one word):
-    the same words in the same order as one ``_draw`` call, without
-    holding them all at once."""
-    k = _word_digits(bound)[0]
-    size = max(_DRAW_CHUNK // k, 1) * k
-    for start in range(0, count, size):
-        stream._state, draws = _draw(
-            stream._state, bound, min(size, count - start)
-        )
-        yield draws
 
 
 def derived_stream(seed: int, index: int) -> SplitMix64:
@@ -259,6 +253,72 @@ def sample_function(n: int, m: int, stream: SplitMix64) -> FiniteFunction:
     return FiniteFunction(n, m, tuple(images))
 
 
+def _chain_draws(sizes: Sequence[int]) -> dict[int, int]:
+    """Per-sample draw bound of a chain under each bound: n_1 draws below
+    n_2 for f_1, and at most min(n_1, n_s) below n_{s+1} for each later
+    f_s (the image of the partial composition has at most that many
+    points)."""
+    draws = {sizes[1]: sizes[0]}
+    for n, m in zip(sizes[1:], sizes[2:]):
+        draws[m] = draws.get(m, 0) + min(sizes[0], n)
+    return draws
+
+
+def _batch_words(draws: dict[int, int]) -> dict[int, int]:
+    """Words per batch of each bound's digit stream, given each bound's
+    per-sample draw bound: enough for one sample, cut to the bound's
+    share of ``_DRAW_CHUNK`` digits, and at least one word.  All batches
+    together hold at most ``_DRAW_CHUNK`` digits beyond one word per
+    bound."""
+    total = sum(draws.values())
+    words = {}
+    for bound, need in draws.items():
+        k = _word_digits(bound)[0]
+        share = _DRAW_CHUNK * need // total // k
+        words[bound] = max(min(-(-need // k), share), 1)
+    return words
+
+
+class _Batches:
+    """Endless lists of ``count`` draws below ``bound``, a whole number
+    of words' digits each, from the SplitMix64 stream at ``state``.  A
+    slotted iterator, not a generator: a chain with thousands of bounds
+    holds one per bound, and a generator with its frame takes about 200
+    bytes more."""
+
+    __slots__ = ("_state", "_bound", "_count")
+
+    def __init__(self, state: int, bound: int, count: int):
+        self._state = state
+        self._bound = bound
+        self._count = count
+
+    def __iter__(self) -> _Batches:
+        return self
+
+    def __next__(self) -> list[int]:
+        self._state, draws = _draw(self._state, self._bound, self._count)
+        return draws
+
+
+def _digit_streams(
+    seed: int, block: int, draws: dict[int, int]
+) -> dict[int, Iterator[int]]:
+    """Block ``block``'s endless digit iterator for each bound of
+    ``draws`` (bound -> per-sample draw bound): the base-b digits of the
+    stream derived from block ``block``'s stream with index b, drawn in
+    batches of ``_batch_words`` words."""
+    state = derived_stream(seed, block)._state
+    return {
+        bound: chain.from_iterable(_Batches(
+            derived_stream(state, bound)._state,
+            bound,
+            words * _word_digits(bound)[0],
+        ))
+        for bound, words in _batch_words(draws).items()
+    }
+
+
 def _chain_block(
     sizes: tuple[int, ...], seed: int, block: int, count: int
 ) -> tuple[int, int]:
@@ -269,18 +329,19 @@ def _chain_block(
     only at those points (the draw order of the stream contract; the
     test suite pins it against a reference built on ``next_word``).
     """
-    stream = derived_stream(seed, block)
+    streams = _digit_streams(seed, block, _chain_draws(sizes))
+    n_1 = sizes[0]
+    first = streams[sizes[1]]
+    later = [streams[m] for m in sizes[2:]]
     total = 0
     total_sq = 0
     for _ in range(count):
-        profile = Counter(
-            chain.from_iterable(_draw_chunks(stream, sizes[1], sizes[0]))
-        )
-        for m in sizes[2:]:
-            stream._state, f = _draw(stream._state, m, len(profile))
+        profile = Counter(islice(first, n_1))
+        for stream in later:
             merged: dict[int, int] = {}
             get = merged.get
-            for y, c in zip(f, profile.values()):
+            # counts first: zip stops on them without taking a digit
+            for c, y in zip(profile.values(), stream):
                 merged[y] = get(y, 0) + c
             profile = merged
         s_val = _square_sum(profile.values())
@@ -292,13 +353,11 @@ def _chain_block(
 def _maxfiber_block(
     n: int, seed: int, block: int, count: int
 ) -> tuple[int, int]:
-    stream = derived_stream(seed, block)
+    stream = _digit_streams(seed, block, {n: n})[n]
     total = 0
     total_sq = 0
     for _ in range(count):
-        m_val = max(
-            fiber_sizes(chain.from_iterable(_draw_chunks(stream, n, n)), n)
-        )
+        m_val = max(fiber_sizes(islice(stream, n), n))
         total += m_val
         total_sq += m_val * m_val
     return total, total_sq
@@ -355,9 +414,7 @@ def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
         raise InvalidSizeError("config.sizes must be a ChainSpec")
     sizes = config.sizes.sizes
     _check_draws(
-        config.samples,
-        sizes[0] + sum(min(sizes[0], n) for n in sizes[1:-1]),
-        "chain sampling",
+        config.samples, sum(_chain_draws(sizes).values()), "chain sampling"
     )
     total, total_sq = _run_blocks(
         lambda b, c: _chain_block(sizes, config.seed, b, c),

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import pytest
 
@@ -56,44 +56,89 @@ def reference_draw(stream, bound, count):
     return draws
 
 
+def reference_digit_stream(stream, bound):
+    """Endless digits below ``bound`` read from ``stream`` under stream
+    contract 4, from ``next_word``, ``%`` and ``//`` alone: every digit
+    of every accepted word, low digit first, one word at a time."""
+    k = reference_digits(bound)
+    threshold = 2**64 // bound**k * bound**k
+    while True:
+        word = stream.next_word()
+        if word < threshold:
+            for j in range(k):
+                yield word // bound**j % bound
+
+
+def reference_streams(seed, block, bounds):
+    """Block ``block``'s SplitMix64 stream for each bound under stream
+    contract 4: the stream derived with index b from the block's
+    stream."""
+    start = derived_stream(seed, block)._state
+    return {b: derived_stream(start, b) for b in bounds}
+
+
 def reference_chain_block(sizes, seed, block, count):
-    """Stream contract 3 through ``reference_draw``: f_1 on all of X_1,
-    each later map only on the image points of the partial composition,
-    in order of first appearance, one draw call per map.  Returns the
-    block's (total, total_sq) and the stream's end state."""
-    stream = derived_stream(seed, block)
+    """Stream contract 4 through ``reference_digit_stream``: f_1 on all
+    of X_1, each later map only on the image points of the partial
+    composition, in order of first appearance, every draw below a bound
+    from that bound's digit stream.  Returns the block's (total,
+    total_sq) and each bound's SplitMix64 stream after its last digit."""
+    streams = reference_streams(seed, block, sizes[1:])
+    digits = {b: reference_digit_stream(s, b) for b, s in streams.items()}
     total = total_sq = 0
     for _ in range(count):
-        g = reference_draw(stream, sizes[1], sizes[0])
+        g = [next(digits[sizes[1]]) for _ in range(sizes[0])]
         for m in sizes[2:]:
-            pts = list(dict.fromkeys(g))
-            image_of = dict(zip(pts, reference_draw(stream, m, len(pts))))
+            image_of = {y: next(digits[m]) for y in dict.fromkeys(g)}
             g = [image_of[y] for y in g]
         s_val = sum(c * c for c in Counter(g).values())
         total += s_val
         total_sq += s_val * s_val
-    return (total, total_sq), stream._state
+    return (total, total_sq), streams
 
 
-def block_end_state(monkeypatch, block_fn, *args):
-    """A block function's sums and the state its last draw left."""
-    states = []
+def reference_maxfiber_block(n, seed, block, count):
+    """Max-fiber samples under stream contract 4: n digits below n each,
+    from the one digit stream of the block."""
+    digits = reference_digit_stream(
+        reference_streams(seed, block, [n])[n], n
+    )
+    total = total_sq = 0
+    for _ in range(count):
+        m_val = max(Counter(next(digits) for _ in range(n)).values())
+        total += m_val
+        total_sq += m_val * m_val
+    return total, total_sq
+
+
+def record_draws(monkeypatch):
+    """Record every ``_draw`` call as (bound, count, state in, state
+    out)."""
+    calls = []
     draw = montecarlo._draw
 
-    def recording_draw(state, bound, n):
-        state, draws = draw(state, bound, n)
-        states.append(state)
-        return state, draws
+    def recording_draw(state, bound, count):
+        end, draws = draw(state, bound, count)
+        calls.append((bound, count, state, end))
+        return end, draws
 
-    with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_draw", recording_draw)
-        sums = block_fn(*args)
-    return sums, states[-1]
+    monkeypatch.setattr(montecarlo, "_draw", recording_draw)
+    return calls
 
 
-def chain_block_end_state(monkeypatch, sizes, seed, block, count):
-    """``_chain_block``'s sums and the state its last draw left."""
-    return block_end_state(monkeypatch, _chain_block, sizes, seed, block, count)
+def words_per_bound(calls):
+    """SplitMix64 words the recorded draws read, per bound."""
+    words = Counter()
+    for bound, _, start, end in calls:
+        words[bound] += words_between(start, end)
+    return words
+
+
+def batches_of(monkeypatch, words):
+    """Make every digit stream draw ``words`` words per batch."""
+    monkeypatch.setattr(
+        montecarlo, "_batch_words", lambda draws: dict.fromkeys(draws, words)
+    )
 
 
 def image_only_pmf(sizes):
@@ -133,57 +178,106 @@ def all_chains_pmf(sizes):
     return {s: Fraction(c, chains) for s, c in counts.items()}
 
 
-class TestDrawChunks:
-    # f_1 (and a max-fiber map) is drawn in chunks; the chunk size must
-    # not change a single draw, so a tiny chunk gives the same block
+class TestBatches:
+    # each digit stream is drawn in batches of whole words; the batch
+    # size must not change a single draw, so one-word and 500-word
+    # batches give the same reports as the default sizes
     CASES = [
-        (_chain_block, (30, 20, 10)),
-        (_chain_block, (7, 5)),
-        (_chain_block, (50, 3, 50, 2)),
-        (_maxfiber_block, 30),
-        (_maxfiber_block, 7),
-        (_maxfiber_block, 6),
+        (estimate_expected_degree_chain, (30, 20, 10)),
+        (estimate_expected_degree_chain, (7, 5)),
+        (estimate_expected_degree_chain, (50, 3, 50, 2)),
+        (estimate_expected_degree_chain, (20,) * 20),
+        (estimate_max_fiber_mean, 30),
+        (estimate_max_fiber_mean, 7),
+        (estimate_max_fiber_mean, 6),
     ]
 
-    @pytest.mark.parametrize("block_fn,size", CASES)
-    def test_chunk_size_changes_nothing(self, monkeypatch, block_fn, size):
-        args = (size, 11, 2, 40)
-        whole = block_end_state(monkeypatch, block_fn, *args)
-        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
-        assert block_end_state(monkeypatch, block_fn, *args) == whole
+    @staticmethod
+    def report(estimate, size):
+        # two blocks, the second one partly filled
+        if estimate is estimate_max_fiber_mean:
+            return estimate(size, SamplerConfig(seed=11, samples=1500))
+        return estimate(
+            SamplerConfig(seed=11, samples=1500, sizes=ChainSpec(size))
+        )
 
-    # a chunk holds whole words: the patched chunk of 7 draws rounds up to
-    # one word, 14 digits below 20 and 13 below 30
-    @pytest.mark.parametrize("block_fn,size,chunks", [
-        (_chain_block, (30, 20), [14, 14, 2]),
-        (_maxfiber_block, 30, [13, 13, 4]),
+    @pytest.mark.parametrize("estimate,size", CASES)
+    def test_batch_size_changes_nothing(self, monkeypatch, estimate, size):
+        default = self.report(estimate, size)
+        for words in (1, 3, 500):
+            with monkeypatch.context() as patch:
+                batches_of(patch, words)
+                assert self.report(estimate, size) == default, words
+
+    @pytest.mark.parametrize("n", [7, 30, 6, 10**4])
+    def test_maxfiber_matches_reference(self, monkeypatch, n):
+        # k = 22 digits below 7 and 13 below 30 do not divide n, so
+        # samples start inside words; 6^24 fits and k = 24 divides
+        # 4 * 6; 10^4 takes 2,500 whole words a sample
+        count = 3 if n == 10**4 else 40
+        expected = reference_maxfiber_block(n, 11, 2, count)
+        assert _maxfiber_block(n, 11, 2, count) == expected
+        batches_of(monkeypatch, 1)
+        assert _maxfiber_block(n, 11, 2, count) == expected
+
+    @pytest.mark.parametrize("sizes, batches", [
+        # 30 draws below 20, 14 digits a word: three words a batch
+        ((30, 20), {20: 42}),
+        # below 3 50 draws (40 a word), below 50 at most 3 (11 a word),
+        # below 2 at most 50 (64 a word)
+        ((50, 3, 50, 2), {3: 80, 50: 11, 2: 64}),
+        ((30,), {30: 39}),
     ])
-    def test_first_map_is_drawn_in_chunks(
-        self, monkeypatch, block_fn, size, chunks
-    ):
-        calls = []
-        draw = montecarlo._draw
+    def test_batches_hold_one_sample(self, monkeypatch, sizes, batches):
+        calls = record_draws(monkeypatch)
+        if len(sizes) == 1:
+            _maxfiber_block(sizes[0], 1, 0, 3)
+        else:
+            _chain_block(sizes, 1, 0, 3)
+        assert {bound: count for bound, count, _, _ in calls} == batches
+        assert all(count == batches[bound] for bound, count, _, _ in calls)
 
-        def counting_draw(state, bound, n):
-            calls.append(n)
-            return draw(state, bound, n)
 
-        monkeypatch.setattr(montecarlo, "_DRAW_CHUNK", 7)
-        monkeypatch.setattr(montecarlo, "_draw", counting_draw)
-        block_fn(size, 1, 0, 3)
-        assert calls == chunks * 3
+class TestBatchCap:
+    # all batches of a block together hold at most _DRAW_CHUNK digits
+    # beyond one word per bound, and every batch at least one word
+    @staticmethod
+    def check_batches(calls):
+        sizes = {}
+        for bound, count, _, _ in calls:
+            k = reference_digits(bound)
+            assert count >= k and count % k == 0, (bound, count)
+            assert sizes.setdefault(bound, count) == count, bound
+        assert sum(sizes.values()) <= montecarlo._DRAW_CHUNK + sum(
+            reference_digits(b) for b in sizes
+        )
+        return sizes
 
-    @pytest.mark.parametrize("bound", [3, 20, 50, 10**4, 2**32 + 1])
-    def test_chunks_split_at_whole_words(self, bound):
-        # more draws than one chunk: the chunks are one _draw call cut
-        # between words, so no digit is dropped at a chunk's end
-        count = montecarlo._DRAW_CHUNK + 4321
-        stream = SplitMix64(9)
-        chunks = list(montecarlo._draw_chunks(stream, bound, count))
-        end, draws = montecarlo._draw(SplitMix64(9)._state, bound, count)
-        assert len(chunks) == 2
-        assert list(chain.from_iterable(chunks)) == draws
-        assert stream._state == end
+    def test_many_distinct_bounds(self, monkeypatch):
+        # 2, 3, ..., 401: 399 bounds, at most two draws each a sample,
+        # so every stream gets one word
+        calls = record_draws(monkeypatch)
+        _chain_block(tuple(range(2, 402)), 1, 0, 2)
+        sizes = self.check_batches(calls)
+        assert sizes == {b: reference_digits(b) for b in range(3, 402)}
+
+    @pytest.mark.parametrize("sizes", [
+        (10**6, 2), (10**6, 3, 10**6, 7), (300_000, 10**4, 5),
+    ])
+    def test_large_first_set(self, monkeypatch, sizes):
+        # the first map's stream takes nearly the whole cap, and the
+        # others their share of it
+        calls = record_draws(monkeypatch)
+        _chain_block(sizes, 1, 0, 1)
+        batches = self.check_batches(calls)
+        assert batches[sizes[1]] > montecarlo._DRAW_CHUNK // 3
+
+    def test_large_max_fiber(self, monkeypatch):
+        calls = record_draws(monkeypatch)
+        _maxfiber_block(10**6, 1, 0, 1)
+        assert self.check_batches(calls) == {
+            10**6: montecarlo._DRAW_CHUNK // 3 * 3
+        }
 
 
 class TestSplitMix64:
@@ -377,39 +471,53 @@ class TestEstimateChain:
         assert report.mean == float(mean)
         assert report.std_error == std_error
 
-    def test_matches_public_sampling_api(self, monkeypatch):
-        # the block loop must draw what reference_draw, on the public
-        # next_word, draws under stream contract 3, and consume the same
-        # words
+    @pytest.mark.parametrize("sizes", [
+        (5, 3, 4, 2, 6), (7, 1, 5, 5), (50, 3, 50, 2), (20,) * 20,
+    ])
+    def test_matches_public_sampling_api(self, monkeypatch, sizes):
+        # the block loop must draw what reference_digit_stream, on the
+        # public next_word and derived_stream, draws under stream
+        # contract 4; with one-word batches each stream also reads
+        # exactly the words up to its last used digit, as the lazy
+        # reference does
         seed, block = 5, 3
         start = derived_stream(seed, block)._state
-        for sizes in [(5, 3, 4, 2, 6), (7, 1, 5, 5), (20,) * 20]:
-            for count in (BLOCK_SAMPLES, 37):
-                sums, end = chain_block_end_state(
-                    monkeypatch, sizes, seed, block, count
-                )
-                ref_sums, ref_end = reference_chain_block(
-                    sizes, seed, block, count
-                )
-                assert sums == ref_sums, (sizes, count)
-                assert words_between(start, end) == words_between(
-                    start, ref_end
-                ), (sizes, count)
-                assert end == ref_end
+        for count in (BLOCK_SAMPLES, 37):
+            ref_sums, streams = reference_chain_block(
+                sizes, seed, block, count
+            )
+            assert _chain_block(sizes, seed, block, count) == ref_sums
+            with monkeypatch.context() as patch:
+                batches_of(patch, 1)
+                calls = record_draws(patch)
+                assert _chain_block(sizes, seed, block, count) == ref_sums
+            assert {c for _, c, _, _ in calls} <= {
+                reference_digits(b) for b in streams
+            }
+            words = words_per_bound(calls)
+            for bound, stream in streams.items():
+                assert [end for b, _, _, end in calls if b == bound][-1] == (
+                    stream._state
+                ), (count, bound)
+                assert words[bound] == words_between(
+                    derived_stream(start, bound)._state, stream._state
+                ), (count, bound)
 
     @pytest.mark.parametrize("sizes, low, high", [
-        ((20,) * 20, 20, 21), ((50, 50, 50, 50), 11, 14),
+        ((20,) * 20, 7.5, 7.8), ((50, 50, 50, 50), 11.9, 12.3),
     ])
-    def test_words_per_sample(self, monkeypatch, sizes, low, high):
-        # one word holds 14 draws below 20 and 11 below 50.  A 20-set
-        # chain of 20 draws about 105 values per sample (380 on all of
-        # each domain); 50,50,50,50 draws about 105 values.  Each map
-        # takes at least one word, f_1 two below 20 and five below 50,
-        # and later maps below 50 about three each
-        count = 200
-        _, end = chain_block_end_state(monkeypatch, sizes, 1, 0, count)
-        words = words_between(derived_stream(1, 0)._state, end)
-        assert low * count <= words <= high * count
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_words_per_sample(self, monkeypatch, sizes, low, high, seed):
+        # one word holds 14 draws below 20 and 11 below 50.  A sample of
+        # either chain draws about 105 values: 7.5 words below 20, and
+        # 9.6 below 50, where about a fifth of the words are rejected.
+        # Only the digits left in each batch when the block ends go
+        # unused.  Under stream contract 3 every draw call started on a
+        # fresh word: 20.6 and 13.7 words per sample
+        calls = record_draws(monkeypatch)
+        _chain_block(sizes, seed, 0, BLOCK_SAMPLES)
+        words = sum(words_per_bound(calls).values())
+        assert low * BLOCK_SAMPLES <= words <= high * BLOCK_SAMPLES
 
     def test_image_only_draws_have_the_chain_law(self):
         # drawing each later map only on the image of the partial
@@ -487,9 +595,9 @@ class TestEstimateMaxFiber:
     def test_pinned_stream(self):
         # values of the stream contract, three blocks at seed 5
         report = estimate_max_fiber_mean(7, SamplerConfig(seed=5, samples=3000))
-        # (computed from reference_draw)
-        assert report.mean == 2.5136666666666665
-        assert report.std_error == 0.012355375045093089
+        # (computed from reference_maxfiber_block)
+        assert report.mean == 2.53
+        assert report.std_error == 0.012200849616108548
 
     def test_deterministic(self):
         config = SamplerConfig(seed=13, samples=1500)
