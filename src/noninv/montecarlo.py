@@ -264,19 +264,19 @@ def _chain_draws(sizes: Sequence[int]) -> dict[int, int]:
     return draws
 
 
-def _batch_words(draws: dict[int, int]) -> dict[int, int]:
-    """Words per batch of each bound's digit stream, given each bound's
-    per-sample draw bound: enough for one sample, cut to the bound's
-    share of ``_DRAW_CHUNK`` digits, and at least one word.  All batches
-    together hold at most ``_DRAW_CHUNK`` digits beyond one word per
-    bound."""
+def _batch_sizes(draws: dict[int, int]) -> dict[int, int]:
+    """Digits per batch of each bound's digit stream, a whole number of
+    words, given each bound's per-sample draw bound: enough words for
+    one sample, cut to the bound's share of ``_DRAW_CHUNK`` digits, and
+    at least one.  All batches together hold at most ``_DRAW_CHUNK``
+    digits beyond one word per bound."""
     total = sum(draws.values())
-    words = {}
+    sizes = {}
     for bound, need in draws.items():
         k = _word_digits(bound)[0]
         share = _DRAW_CHUNK * need // total // k
-        words[bound] = max(min(-(-need // k), share), 1)
-    return words
+        sizes[bound] = max(min(-(-need // k), share), 1) * k
+    return sizes
 
 
 class _Batches:
@@ -307,15 +307,13 @@ def _digit_streams(
     """Block ``block``'s endless digit iterator for each bound of
     ``draws`` (bound -> per-sample draw bound): the base-b digits of the
     stream derived from block ``block``'s stream with index b, drawn in
-    batches of ``_batch_words`` words."""
+    batches of ``_batch_sizes`` digits."""
     state = derived_stream(seed, block)._state
     return {
-        bound: chain.from_iterable(_Batches(
-            derived_stream(state, bound)._state,
-            bound,
-            words * _word_digits(bound)[0],
-        ))
-        for bound, words in _batch_words(draws).items()
+        bound: chain.from_iterable(
+            _Batches(derived_stream(state, bound)._state, bound, size)
+        )
+        for bound, size in _batch_sizes(draws).items()
     }
 
 
@@ -333,6 +331,9 @@ def _chain_block(
     n_1 = sizes[0]
     first = streams[sizes[1]]
     later = [streams[m] for m in sizes[2:]]
+    # the maps hold their streams; a chain of thousands of distinct
+    # bounds would keep the dict's 50 bytes per bound to the block's end
+    del streams
     total = 0
     total_sq = 0
     for _ in range(count):

@@ -35,16 +35,17 @@ def words_between(start: int, end: int) -> int:
 
 
 def reference_digits(bound):
-    """Digits per word of stream contract 3: the largest k <= 64 with
-    bound^k <= 2^64 (every power of 1 fits, so 1 takes 64)."""
+    """Digits per word of stream contracts 3 and 4: the largest k <= 64
+    with bound^k <= 2^64 (every power of 1 fits, so 1 takes 64)."""
     return max(k for k in range(1, 65) if bound**k <= 2**64)
 
 
 def reference_draw(stream, bound, count):
-    """``count`` draws below ``bound`` under stream contract 3, from
-    ``next_word``, ``%`` and ``//`` alone: a word is accepted below the
-    largest multiple of bound^k that fits in 64 bits, and gives its base-
-    ``bound`` digits low digit first, as many as are still needed."""
+    """``count`` draws below ``bound`` in one call (as ``randbelow`` and
+    ``sample_function`` make them), from ``next_word``, ``%`` and ``//``
+    alone: a word is accepted below the largest multiple of bound^k that
+    fits in 64 bits, and gives its base-``bound`` digits low digit
+    first, as many as are still needed."""
     k = reference_digits(bound)
     threshold = 2**64 // bound**k * bound**k
     draws = []
@@ -137,7 +138,9 @@ def words_per_bound(calls):
 def batches_of(monkeypatch, words):
     """Make every digit stream draw ``words`` words per batch."""
     monkeypatch.setattr(
-        montecarlo, "_batch_words", lambda draws: dict.fromkeys(draws, words)
+        montecarlo,
+        "_batch_sizes",
+        lambda draws: {b: words * reference_digits(b) for b in draws},
     )
 
 
