@@ -6,10 +6,10 @@ output is line-oriented, one record per line; ``--json`` emits a single
 JSON document per invocation.
 
 Each ``_cmd_*`` handler returns an ``_Output`` and prints nothing.
-``run`` is the only code that writes to stdout (the JSON envelope,
-through ``_write_json``, or the text lines) and the only code that
-picks the exit code: 1 iff the output's ``all_match`` is False, 2 on
-any ``NoninvError`` or ``OSError``, else 0.
+``run`` is the only code that writes to stdout (the JSON envelope or
+the text lines) and the only code that picks the exit code: 1 iff the
+output's ``all_match`` is False, 2 on any ``NoninvError`` or
+``OSError``, else 0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .bounds import (
@@ -66,9 +65,6 @@ __all__ = ["run", "main", "MAX_STIRLING_OUTPUT_DIGITS"]
 # many digits as R!; refused past this bound (R <= 447 fits), before
 # any row is built
 MAX_STIRLING_OUTPUT_DIGITS = 10**8
-# the --json document is written this many encoder chunks at a time, so
-# a large one is never held as one string
-_JSON_BATCH = 8192
 
 
 class _Output(NamedTuple):
@@ -615,15 +611,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(document) -> None:
-    """Write ``json.dumps(document, indent=2)`` and a newline to stdout,
-    in batches of the encoder's chunks."""
-    chunks = json.JSONEncoder(indent=2).iterencode(document)
-    while batch := list(islice(chunks, _JSON_BATCH)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
-
-
 def run(argv=None) -> int:
     """Parse argv, run the command and print its output; returns the
     process exit code.  The only code that writes to stdout."""
@@ -642,7 +629,7 @@ def run(argv=None) -> int:
             }
             if out.all_match is not None:
                 envelope["all_match"] = out.all_match
-            _write_json(envelope)
+            print(json.dumps(envelope, indent=2))
         else:
             for line in out.lines:
                 print(line)

@@ -320,34 +320,6 @@ class TestStirling:
         ]
 
 
-class TestJsonWriter:
-    """``--json`` writes the envelope in batches of the encoder's chunks;
-    the bytes are those of one ``json.dumps(..., indent=2)`` and a
-    newline."""
-
-    @pytest.mark.parametrize("argv", [
-        # about 20,000 entries: several batches of 8,192 chunks
-        ["stirling", "--kind", "first", "--rows", "200", "--json"],
-        ["verify", "chain", "--sizes", "3,3,3", "--json"],
-    ], ids=["stirling", "verify"])
-    @pytest.mark.parametrize("batch", [None, 1, 7], ids=["default", "1", "7"])
-    def test_bytes_equal_one_dumps(self, capsys, monkeypatch, argv, batch):
-        documents = []
-        write_json = cli._write_json
-
-        def recording_write(document):
-            documents.append(document)
-            write_json(document)
-
-        monkeypatch.setattr(cli, "_write_json", recording_write)
-        if batch is not None:
-            monkeypatch.setattr(cli, "_JSON_BATCH", batch)
-        code, out, err = invoke(capsys, *argv)
-        assert (code, err) == (0, "")
-        (document,) = documents
-        assert out == json.dumps(document, indent=2) + "\n"
-
-
 class TestClosedFormCaps:
     """Closed-form commands past their caps exit 2 before any Stirling
     row is built (``refuse_growth``) or any sum is taken."""
