@@ -310,9 +310,10 @@ def _cmd_verify_en(args) -> _Output:
 
 def _cmd_verify_corollary(args) -> _Output:
     budget = EnumerationBudget(args.budget)
-    # the identity sum at q multiplies q(q+1)/2 pairs of Stirling numbers
+    # the identity sum at q multiplies the q second-kind numbers of row q
+    # by the first-kind row sums a_1..a_q, each summed once per process
     qmax = args.qmax
-    budget.check(qmax * (qmax + 1) * (qmax + 2) // 6,
+    budget.check(qmax * (qmax + 1) // 2,
                  f"Stirling identity sweep to q={qmax}")
     check_stirling_rows(qmax)
     checks = _Checks()

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable
 
 from ._frozen import Frozen
-from .combinatorics import binomial, stirling1_rows, stirling2_row
+from .combinatorics import (
+    binomial,
+    stirling1_rows,
+    stirling1_signed_sums,
+    stirling2_row,
+)
 from .errors import InvalidExponentError, InvalidSizeError
 
 __all__ = [
@@ -183,11 +189,21 @@ def stirling_identity_sum(q: int) -> int:
     An alternating double sum of products of Stirling numbers of both
     kinds; its value is 1 for every q >= 1 (the test suite asserts this,
     the function just computes the sum).
+
+    Evaluated in another order of the same finite sum: with i = k + j
+    the sign (-1)^k is (-1)^(i-j), so the sum is
+
+        sum_{i=1..q} {q brace i} a_i,  a_i = sum_{j=1..i} s(i, j),
+
+    the Stirling transform of a_1, a_2, ... at q, where s(i, j) =
+    (-1)^(i-j) [i brack j] and a_i depends on i alone.  The a_i are
+    summed once per process (``stirling1_signed_sums``), so a call
+    costs q products, one per entry of the second-kind row q, where the
+    k-then-j order (``_stirling_inner_sums``) costs q(q+1)/2.
     """
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    sums = _stirling_inner_sums(q)
-    return sum(sums[0::2]) - sum(sums[1::2])
+    return sum(map(mul, stirling2_row(q), stirling1_signed_sums(q)))
 
 
 def power_sum_stirling_form(n: int, q: int) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "stirling1_signed",
     "stirling2_row",
     "stirling1_rows",
+    "stirling1_signed_sums",
     "stirling_transform",
 ]
 
@@ -87,12 +88,16 @@ class StirlingTable:
     that ``ensure`` has already built.  Hot loops read whole rows
     (``second_row``, ``first_rows``) and index the tuples, so they pay
     one ``ensure`` per row or per triangle, not per entry.
+    ``first_signed_sums`` keeps the sum of each signed first-kind row,
+    taken the first time it is read.
     """
 
     def __init__(self, max_n: int = 0):
         # row n holds entries k = 0..n
         self._second: list[tuple[int, ...]] = [(1,)]
         self._first: list[tuple[int, ...]] = [(1,)]
+        # entry i is sum_{j=1..i} s(i, j), an empty sum at i = 0
+        self._first_sums: list[int] = [0]
         self.ensure(max_n)
 
     @property
@@ -157,6 +162,22 @@ class StirlingTable:
         self.ensure(n)
         return self._first[: n + 1]
 
+    def first_signed_sums(self, n: int) -> list[int]:
+        """(a_0, ..., a_n), a_i = sum_{j=1..i} s(i, j): the signed first
+        kind summed along row i, with a_0 = 0 (an empty sum).
+
+        Each a_i is summed once per table from row i; later calls copy
+        the memo.  Growth takes no lock, as in ``ensure``.
+        """
+        sums = self._first_sums
+        if n >= len(sums):
+            self.ensure(n)
+            for i in range(len(sums), n + 1):
+                row = self._first[i]
+                # s(i, j) has the sign of (-1)^(i-j); [i brack 0] = 0
+                sums.append(sum(row[i::-2]) - sum(row[i - 1::-2]))
+        return sums[: n + 1]
+
 
 _SHARED = StirlingTable()
 
@@ -179,6 +200,10 @@ def stirling2_row(n: int) -> tuple[int, ...]:
 
 def stirling1_rows(n: int) -> list[tuple[int, ...]]:
     return _SHARED.first_rows(n)
+
+
+def stirling1_signed_sums(n: int) -> list[int]:
+    return _SHARED.first_signed_sums(n)
 
 
 def stirling_transform(a: Sequence[int]) -> list[int]:

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
+from functools import cache
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
@@ -134,7 +134,10 @@ class SplitMix64:
         return value
 
 
-@lru_cache(maxsize=1024)
+# unbounded: a run reads it for one bound per distinct set size, and a
+# block reads every bound once per batch, round-robin, so a cache
+# smaller than the bound count would miss on every read
+@cache
 def _word_digits(bound: int) -> tuple[int, int]:
     """Digits per word and acceptance threshold of ``_draw`` for a bound
     b: the largest k with b^k <= 2^64 (at most 64, the k of b = 2; every

@@ -352,16 +352,28 @@ class TestClosedFormCaps:
 
     def test_corollary_past_budget(self, capsys, refuse_growth):
         err = self.refused(capsys, "verify", "corollary", "--qmax", "3000")
-        assert "needs 4504501000" in err and "budget is 1000000" in err
+        assert "needs 4501500" in err and "budget is 1000000" in err
 
     def test_corollary_counts_stirling_products(self, capsys):
-        # sum_{q<=5} q(q+1)/2 = 35 products
+        # sum_{q<=5} q = 15 products
         code, _, _ = invoke(capsys, "verify", "corollary", "--qmax", "5",
-                            "--nmax", "0", "--budget", "35")
+                            "--nmax", "0", "--budget", "15")
         assert code == 0
         err = self.refused(capsys, "verify", "corollary", "--qmax", "5",
-                           "--nmax", "0", "--budget", "34")
-        assert "needs 35" in err
+                           "--nmax", "0", "--budget", "14")
+        assert "needs 15" in err
+
+    def test_corollary_at_row_cap_within_budget(self, capsys, deadline):
+        # 180,300 products under the default budget: the row cap, not
+        # the budget, limits the sweep
+        code, out, _ = invoke(capsys, "verify", "corollary", "--qmax", "600",
+                              "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_match"] is True
+        identity = [r for r in doc["results"]
+                    if r["check"] == "stirling-identity"]
+        assert [r["parameters"]["q"] for r in identity] == list(range(1, 601))
 
     def test_corollary_past_row_cap(self, capsys, refuse_growth):
         err = self.refused(capsys, "verify", "corollary", "--qmax", "601",

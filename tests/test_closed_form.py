@@ -10,6 +10,7 @@ from itertools import product
 from math import comb, perm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noninv import (
     BudgetExceededError,
@@ -25,9 +26,10 @@ from noninv import (
     stirling1_unsigned,
     stirling2,
     stirling_identity_sum,
+    stirling_transform,
 )
 from noninv.closed_form import _power_sum_kernel, _stirling_inner_sums
-from noninv.combinatorics import MAX_STIRLING_ROWS
+from noninv.combinatorics import MAX_STIRLING_ROWS, stirling1_signed_sums
 
 
 def naive_chain_average(sizes) -> Fraction:
@@ -231,10 +233,51 @@ class TestClosedMultinomialPowerSum:
         assert closed_multinomial_power_sum(2, 3, 6) == self.naive(2, 3, 6)
 
 
+def k_then_j(second, first):
+    """sum_{k=0..q-1} (-1)^k sum_{j=1..q-k} second[k+j] first[k+j][j],
+    the paper's order, for any row ``second`` of length q + 1 and any
+    triangle ``first`` whose row i has length i + 1."""
+    q = len(second) - 1
+    return sum(
+        (-1) ** k * sum(second[k + j] * first[k + j][j]
+                        for j in range(1, q - k + 1))
+        for k in range(q)
+    )
+
+
+def i_then_j(second, first):
+    """The same terms summed over i = k + j first:
+    sum_{i=1..q} second[i] sum_{j=1..i} (-1)^(i-j) first[i][j]."""
+    q = len(second) - 1
+    return sum(
+        second[i] * sum((-1) ** (i - j) * first[i][j]
+                        for j in range(1, i + 1))
+        for i in range(1, q + 1)
+    )
+
+
 class TestStirlingIdentitySum:
     def test_is_one(self):
-        for q in range(1, 31):
-            assert stirling_identity_sum(q) == 1
+        for q in range(1, MAX_STIRLING_ROWS + 1):
+            assert stirling_identity_sum(q) == 1, q
+
+    def test_is_stirling_transform_of_row_sums(self):
+        # the sweep is the Stirling transform of a_i = sum_j s(i, j)
+        sums = stirling1_signed_sums(MAX_STIRLING_ROWS)
+        assert stirling_transform(sums[1:]) == [
+            stirling_identity_sum(q) for q in range(1, MAX_STIRLING_ROWS + 1)
+        ]
+
+    @given(data=st.data(), q=st.integers(1, 12))
+    def test_reindexing_holds_for_any_rows(self, data, q):
+        # plain algebra: no property of Stirling numbers is used
+        entries = st.integers(-10**30, 10**30)
+        second = data.draw(st.lists(entries, min_size=q + 1, max_size=q + 1))
+        first = [
+            data.draw(st.lists(entries, min_size=i + 1, max_size=i + 1))
+            for i in range(q + 1)
+        ]
+        assert k_then_j(second, first) == i_then_j(second, first)
 
     def test_guard(self):
         with pytest.raises(InvalidExponentError):

@@ -16,7 +16,11 @@ from noninv import (
     stirling2,
     stirling_transform,
 )
-from noninv.combinatorics import MAX_STIRLING_ROWS, check_stirling_rows
+from noninv.combinatorics import (
+    MAX_STIRLING_ROWS,
+    check_stirling_rows,
+    stirling1_signed_sums,
+)
 
 
 # --- independent counting oracles ----------------------------------------
@@ -266,6 +270,25 @@ class TestStirlingTable:
         rows.append(())
         assert table.first_rows(5)[4] == (0, 6, 11, 6, 1)
 
+    def test_first_signed_sums_grown_in_steps(self):
+        # each read sums only the rows past the memo, whatever the steps
+        table = StirlingTable()
+        for n in (0, 1, 2, 7, 3, 31, 60, 5):
+            assert table.first_signed_sums(n) == [
+                sum(table.first_signed(i, j) for j in range(1, i + 1))
+                for i in range(n + 1)
+            ]
+
+    def test_first_signed_sums_are_the_falling_factorial_at_1(self):
+        # sum_j s(i, j) = 1 (1 - 1) ... (1 - i + 1): 1 at i = 1, else 0
+        sums = StirlingTable().first_signed_sums(MAX_STIRLING_ROWS)
+        assert sums == [0, 1] + [0] * (MAX_STIRLING_ROWS - 1)
+
+    def test_first_signed_sums_is_a_copy(self):
+        table = StirlingTable()
+        table.first_signed_sums(3).append(7)
+        assert table.first_signed_sums(4) == [0, 1, 0, 0, 0]
+
 
 class TestRowCap:
     """Rows past ``MAX_STIRLING_ROWS`` are refused before any row is
@@ -293,9 +316,10 @@ class TestRowCap:
             lambda n: stirling1_unsigned(n, 1),
             lambda n: stirling1_signed(n, 1),
             lambda n: stirling_transform([1] * n),
+            stirling1_signed_sums,
         ],
         ids=["stirling2", "stirling1_unsigned", "stirling1_signed",
-             "transform"],
+             "transform", "stirling1_signed_sums"],
     )
     def test_shared_table_readers(self, refuse_growth, read):
         with pytest.raises(BudgetExceededError):

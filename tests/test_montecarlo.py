@@ -264,6 +264,14 @@ class TestBatchCap:
         sizes = self.check_batches(calls)
         assert sizes == {b: reference_digits(b) for b in range(3, 402)}
 
+    def test_word_digits_once_per_bound(self):
+        # 3, 4, ..., 1501: more bounds than any fixed-size cache holds,
+        # each looked up again by every batch drawn below it
+        montecarlo._word_digits.cache_clear()
+        _chain_block(tuple(range(2, 1502)), 1, 0, 2)
+        info = montecarlo._word_digits.cache_info()
+        assert info.misses == 1499 and info.hits >= 1499
+
     @pytest.mark.parametrize("sizes", [
         (10**6, 2), (10**6, 3, 10**6, 7), (300_000, 10**4, 5),
     ])

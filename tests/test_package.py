@@ -97,6 +97,7 @@ TRACED_CALLS = [
     (["stirling", "--rows", "5"], ["combinatorics.stirling_table"]),
     (["bounds", "OUTER", "INNER"],
      ["functions.load", "functions.compose", "bounds.report"]),
+    (["bounds", "--exhaustive", "--n", "2"], ["oracle.enumerate_functions"]),
     (["deg", "--file", "OUTER"], ["functions.load", "functions.degree"]),
     (["deg", "--file", "INNER"], ["functions.load", "functions.degree"]),
 ]
@@ -107,8 +108,8 @@ CALL_IDS = [" ".join(argv[:2] if argv[0] != "deg" else argv[::2])
             for argv, _ in TRACED_CALLS]
 
 
-@pytest.mark.parametrize("argv,layers", TRACED_CALLS, ids=CALL_IDS)
-def test_tracer_reaches_every_layer(function_files, argv, layers):
+def traced_stats(function_files, argv) -> dict:
+    """Per-layer counters of one traced call that must exit 0."""
     workdir, outer, inner = function_files
     argv = [{"OUTER": outer, "INNER": inner}.get(a, a) for a in argv]
     trace = workdir / "trace.json"
@@ -118,6 +119,20 @@ def test_tracer_reaches_every_layer(function_files, argv, layers):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    stats = json.loads(trace.read_text())["stats"]
+    return json.loads(trace.read_text())["stats"]
+
+
+@pytest.mark.parametrize("argv,layers", TRACED_CALLS, ids=CALL_IDS)
+def test_tracer_reaches_every_layer(function_files, argv, layers):
+    stats = traced_stats(function_files, argv)
     for layer in layers:
         assert stats.get(layer, [0])[0] > 0, f"{layer} not reached"
+
+
+def test_tracer_counts_one_identity_sum_per_q(function_files):
+    # the tracer wraps noninv.cli.stirling_identity_sum, so the sweep
+    # must look it up once per q: 7 identity sums and, with the default
+    # --nmax 5, 5 * 6 power-sum forms
+    stats = traced_stats(function_files,
+                         ["verify", "corollary", "--qmax", "7"])
+    assert stats["closed_form"][0] == 7 + 5 * 6
