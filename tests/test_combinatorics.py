@@ -281,7 +281,7 @@ class TestStirlingTable:
 
     def test_first_signed_sums_are_the_falling_factorial_at_1(self):
         # sum_j s(i, j) = 1 (1 - 1) ... (1 - i + 1): 1 at i = 1, else 0
-        sums = StirlingTable().first_signed_sums(MAX_STIRLING_ROWS)
+        sums = stirling1_signed_sums(MAX_STIRLING_ROWS)
         assert sums == [0, 1] + [0] * (MAX_STIRLING_ROWS - 1)
 
     def test_first_signed_sums_is_a_copy(self):
