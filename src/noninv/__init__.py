@@ -20,6 +20,7 @@ from .bounds import (
 from .closed_form import (
     ChainSpec,
     closed_multinomial_power_sum,
+    convergence_table,
     expected_degree_chain,
     expected_degree_iterate,
     expected_degree_q,
@@ -67,7 +68,6 @@ from .montecarlo import (
     EstimateReport,
     SamplerConfig,
     SplitMix64,
-    convergence_table,
     derived_stream,
     estimate_expected_degree_chain,
     estimate_max_fiber_mean,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .combinatorics import (
@@ -26,6 +26,7 @@ __all__ = [
     "ChainSpec",
     "expected_degree_chain",
     "expected_degree_iterate",
+    "convergence_table",
     "power_difference_coeffs",
     "expected_degree_q",
     "closed_multinomial_power_sum",
@@ -83,6 +84,21 @@ def expected_degree_iterate(n: int, t: int) -> Fraction:
     if t < 1:
         raise InvalidSizeError(f"t must be >= 1, got {t}")
     return Fraction(n ** (t + 1) - (n - 1) ** (t + 1), n**t)
+
+
+def convergence_table(
+    t: int, n_values: Sequence[int]
+) -> list[tuple[int, Fraction, Fraction]]:
+    """Rows (n, exact chain expectation for equal sets, gap to t+1).
+
+    The gaps are exact rationals; they are positive and strictly
+    decreasing in n once n > t.
+    """
+    rows = []
+    for n in n_values:
+        value = expected_degree_iterate(n, t)
+        rows.append((n, value, Fraction(t + 1) - value))
+    return rows
 
 
 def power_difference_coeffs(t: int) -> list[int]:

@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul, sub
-from typing import Collection, Iterable, NoReturn, Sequence
+from typing import Collection, Iterable, NoReturn, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import (
@@ -63,14 +63,19 @@ class FiniteFunction(Frozen):
     """An explicit function between two finite nonempty indexed sets.
 
     Immutable; all derived quantities are pure functions of the image
-    tuple.  The fibers are counted once, on first use, and kept for
-    ``degree``, ``degree_q`` and ``max_fiber``.
+    tuple.  ``FiniteFunction(...)`` checks that both sets are nonempty,
+    that there are ``domain_size`` images and that each is an exact
+    ``int`` (not a bool or a float) in [0, codomain_size).  The file
+    parsers and ``compose`` check their images themselves and skip the
+    constructor's checks.  The fibers are counted once, on first use,
+    and kept with a histogram of their sizes: ``degree`` reads the
+    fibers, ``degree_q`` and ``max_fiber`` the histogram.
     """
 
     _fields = ("domain_size", "codomain_size", "images")
-    # _fibers is set by fiber_sizes() on first use; not a field, so it
-    # takes no part in ==, hash or repr
-    __slots__ = _fields + ("_fibers",)
+    # _fibers and _histogram are set on first use; not fields, so they
+    # take no part in ==, hash, repr or pickling
+    __slots__ = _fields + ("_fibers", "_histogram")
 
     def __init__(
         self, domain_size: int, codomain_size: int, images: Iterable[int]
@@ -98,10 +103,16 @@ class FiniteFunction(Frozen):
                         f"image of {x} is {y}, outside "
                         f"[0, {codomain_size})"
                     )
+        self._store(domain_size, codomain_size, images)
+
+    def _store(
+        self, domain_size: int, codomain_size: int, images: tuple[int, ...]
+    ) -> None:
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "codomain_size", codomain_size)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_fibers", None)
+        object.__setattr__(self, "_histogram", None)
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < self.domain_size:
@@ -115,6 +126,14 @@ class FiniteFunction(Frozen):
             fibers = tuple(fiber_sizes(self.images, self.codomain_size))
             object.__setattr__(self, "_fibers", fibers)
         return fibers
+
+    def _fiber_histogram(self) -> Counter[int]:
+        """How many fibers have each size (empty fibers under 0)."""
+        histogram = self._histogram
+        if histogram is None:
+            histogram = Counter(self.fiber_sizes())
+            object.__setattr__(self, "_histogram", histogram)
+        return histogram
 
     def degree(self) -> Fraction:
         """deg(f) = (1/|X|) * sum_y |f^-1(y)|^2, as a reduced rational."""
@@ -134,13 +153,24 @@ class FiniteFunction(Frozen):
         # at a large q form a single power, not a million
         return Fraction(
             sum(count * size**q
-                for size, count in Counter(self.fiber_sizes()).items()),
+                for size, count in self._fiber_histogram().items()),
             self.domain_size,
         )
 
     def max_fiber(self) -> int:
         """Largest fiber size; at least ceil(|X| / |Y|)."""
-        return max(self.fiber_sizes())
+        return max(self._fiber_histogram())
+
+
+def _from_valid_images(
+    domain_size: int, codomain_size: int, images: tuple[int, ...]
+) -> FiniteFunction:
+    """A FiniteFunction without the constructor's checks, for a caller
+    that knows ``images`` holds ``domain_size >= 1`` exact ints in
+    [0, codomain_size)."""
+    f = object.__new__(FiniteFunction)
+    f._store(domain_size, codomain_size, images)
+    return f
 
 
 def make_function(
@@ -169,7 +199,8 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
             f"cannot compose: inner codomain {inner.codomain_size} != "
             f"outer domain {outer.domain_size}"
         )
-    return FiniteFunction(
+    # outer's images are checked ints in range, so the composite's are
+    return _from_valid_images(
         inner.domain_size,
         outer.codomain_size,
         tuple(map(outer.images.__getitem__, inner.images)),
@@ -188,6 +219,9 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
 
 _TOKEN = re.compile(r"\S+")
 _JSON_START = re.compile(r"\s*\{")
+# characters of the image list converted at a time; a chunk ends at a
+# space, so no token is cut
+_CHUNK = 1 << 16
 
 
 def _column(line: str, index: int) -> int:
@@ -200,7 +234,15 @@ def _column(line: str, index: int) -> int:
 
 
 def parse_function_text(text: str) -> FiniteFunction:
-    """Parse the one-line text format (one-based images)."""
+    """Parse the one-line text format (one-based images).
+
+    A line that passes every check is read in one pass
+    (``_parse_valid_line``): no list of all its tokens is built, and
+    ``min`` and ``max`` check the range of the images.  Any other line
+    is read again token by token (``_parse_line_checked``), which
+    raises a ``FunctionFileError`` at the line and column of the first
+    error.
+    """
     lines = text.splitlines()
     content = [i for i, ln in enumerate(lines, 1) if ln and not ln.isspace()]
     if not content:
@@ -211,6 +253,53 @@ def parse_function_text(text: str) -> FiniteFunction:
         )
     lineno = content[0]
     line = lines[lineno - 1]
+    function = _parse_valid_line(line)
+    if function is None:
+        function = _parse_line_checked(line, lineno)
+    return function
+
+
+def _parse_valid_line(line: str) -> Optional[FiniteFunction]:
+    """The function on ``line`` if it passes every check, else None.
+
+    ``line.split(None, 3)`` splits off the header ``n m :`` from the
+    image list, which ``_zero_based_images`` converts.
+    """
+    head = line.split(None, 3)
+    if len(head) < 4 or head[2] != ":":
+        return None
+    try:
+        n, m = int(head[0]), int(head[1])
+        # popped, so the copy of the image list is freed before the
+        # tuple of images is built
+        images = _zero_based_images(head.pop())
+    except ValueError:  # a token int() refuses
+        return None
+    # the image list holds at least one image, so a count equal to n
+    # makes n >= 1, and images in range make m >= 1
+    if len(images) != n or min(images) < 0 or max(images) >= m:
+        return None
+    return _from_valid_images(n, m, tuple(images))
+
+
+def _zero_based_images(body: str) -> list[int]:
+    """int(token) - 1 for each token of ``body``, converted in chunks of
+    about ``_CHUNK`` characters, each cut at a space, so that no list of
+    all the tokens is built."""
+    images: list[int] = []
+    start, end = 0, len(body)
+    while start < end:
+        cut = body.find(" ", start + _CHUNK)
+        if cut < 0:
+            cut = end
+        images += map(sub, map(int, body[start:cut].split()), repeat(1))
+        start = cut
+    return images
+
+
+def _parse_line_checked(line: str, lineno: int) -> FiniteFunction:
+    """Parse ``line`` token by token, checking the header, the image
+    count and then each image in order."""
     tokens = line.split()
     line_end = len(line) + 1
 
@@ -306,10 +395,8 @@ def parse_function_json(text: str) -> FiniteFunction:
         raise FunctionFileError(
             f"expected {n} images, got {len(images)}", 1, 1
         )
-    try:
-        return FiniteFunction(n, m, tuple(images))
-    except OutOfRangeImageError:
-        pass
+    if 0 <= min(images) and max(images) < m:
+        return _from_valid_images(n, m, tuple(images))
     # some image is out of range: name the first
     for i, v in enumerate(images):
         if v == m:

@@ -68,7 +68,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
-from .closed_form import ChainSpec, expected_degree_chain, expected_degree_iterate
+from .closed_form import ChainSpec, expected_degree_chain
 from .errors import BudgetExceededError, InvalidSizeError
 from .functions import FiniteFunction, _square_sum, fiber_sizes
 
@@ -83,7 +83,6 @@ __all__ = [
     "sample_function",
     "estimate_expected_degree_chain",
     "estimate_max_fiber_mean",
-    "convergence_table",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -467,18 +466,3 @@ def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
         seed=config.seed,
         theta_ratio=ratio,
     )
-
-
-def convergence_table(
-    t: int, n_values: Sequence[int]
-) -> list[tuple[int, Fraction, Fraction]]:
-    """Rows (n, exact chain expectation for equal sets, gap to t+1).
-
-    The gaps are exact rationals; they are positive and strictly
-    decreasing in n once n > t.
-    """
-    rows = []
-    for n in n_values:
-        value = expected_degree_iterate(n, t)
-        rows.append((n, value, Fraction(t + 1) - value))
-    return rows

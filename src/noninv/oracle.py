@@ -543,8 +543,10 @@ def check_square_moment_identity(
     m(m-1) is evaluated first and short-circuits the first term, so
     r^(m-2) is never formed with a negative exponent when m = 1.
 
-    The left side's compositions are counted against ``DEFAULT_BUDGET``
-    before any is summed.
+    The left side's walk is weighed against ``DEFAULT_BUDGET`` before
+    any composition is summed: the compositions it visits (those with
+    nothing on a zero part before the last) times the parts, since each
+    costs O(parts) in the walk and in ``_square_sum``.
     """
     if m < 1:
         raise InvalidSizeError(f"m must be >= 1, got {m}")
@@ -555,9 +557,13 @@ def check_square_moment_identity(
         raise InvalidSizeError(f"k_parts must be >= 0, got {parts}")
     n = len(parts)
     r = sum(parts)
+    visited = _count_weak_compositions(
+        m, 1 + sum(map(bool, parts[:-1])), DEFAULT_BUDGET._ceiling
+    )
     DEFAULT_BUDGET.check(
-        _count_weak_compositions(m, n, DEFAULT_BUDGET._ceiling),
-        f"weak compositions of {m} into {n} parts",
+        None if visited is None else visited * n,
+        f"weak compositions of {m} into {n} parts, weighed by their {n} "
+        "parts,",
     )
     lhs = _weighted_composition_sum(m, parts, _square_sum)
 

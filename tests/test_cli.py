@@ -194,11 +194,20 @@ class TestVerify:
         assert out.count("match=true") == 2
 
     def test_en_many_parts(self, capsys):
+        # 1000 compositions of 1000 parts: 10^6 steps, at the budget
         code, out, _ = invoke(
-            capsys, "verify", "en", "--m", "1", "--parts", ",".join(["1"] * 1500)
+            capsys, "verify", "en", "--m", "1", "--parts", ",".join(["1"] * 1000)
         )
         assert code == 0
         assert "match=true" in out
+
+    def test_en_refused_by_parts_times_compositions(self, capsys, deadline):
+        # 60,000 compositions of 60,000 parts each
+        code, out, err = invoke(
+            capsys, "verify", "en", "--m", "1", "--parts", ",".join(["1"] * 60000)
+        )
+        assert (code, out) == (2, "")
+        assert "needs 3600000000 enumerated objects" in err
 
     @pytest.mark.parametrize("argv", [
         ("degq", "--n", "1", "--m", "1000000", "--qmax", "1"),

@@ -1,13 +1,17 @@
 """Function file formats: one-based text line and zero-based JSON."""
 
 import json
+import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
 from noninv import (
     FiniteFunction,
     FunctionFileError,
+    compose,
     format_function_text,
     function_to_json,
     load_function,
@@ -15,6 +19,7 @@ from noninv import (
     parse_function_json,
     parse_function_text,
 )
+from noninv import functions
 from noninv.functions import _JSON_START
 
 
@@ -358,3 +363,104 @@ class TestAgainstReference:
             assert bool(_JSON_START.match(text)) == text.lstrip().startswith(
                 "{"
             )
+
+
+# Lines whose tokens the chunked reader cuts at many places: other
+# whitespace than " ", digits int() reads beyond 0-9, line ends and
+# surrounding whitespace, valid and with one error.
+CHUNK_CORPUS = [
+    "3 3 :\t1\t2\t3", "3 3 :\t1\t4\t3", "3 3 :\t1\t2",
+    "3 3 : 1\x1c2\x1c3", "3 3 : 1\x1c0\x1c3",
+    "3 3 : 1\u30002\u30003", "3 3 :\u30001\u3000x\u30003",
+    "3 10 : +3 \u0663 1_0", "3 9 : +3 \u0663 1_0", "3 9 : 1_ 2 3",
+    "3 3 : 1 2 3\r\n", "\r\n3 3 : 1 2 3\r\n\r\n", "3 3 : 1 2 4\r\n",
+    "  \t3 3 : 1 2 3 \t ", "  3 3 :   1  2   3   ", "3 3 : 1 2 3 \x1c",
+    "4 4 : 1 \t2\x1c 3\u3000 4", "4 4 : 1 \t2\x1c 5\u3000 4",
+    "12 6 : " + " ".join("123456123456"),
+    "12 6 : " + " ".join("123456123406"),
+    "12 6 : " + "  ".join("123456123456") + " 1",
+    "12 6 :" + "\t".join(" 123456123456"),
+    "3 3 :1 2 3", "3 3: 1 2 3", "3 3 : 1 2 3 :",
+]
+
+
+class TestChunkedTextParse:
+    """The readers that skip the constructor's checks against checked
+    ones: the chunked text reader, with chunks cut after 1, 2 and 7
+    characters, and ``compose``; and the memory a text parse holds."""
+
+    @pytest.fixture(params=[1, 2, 7])
+    def rereads(self, request, monkeypatch):
+        """Set the chunk size; collect the lines read again by the
+        checked parser."""
+        monkeypatch.setattr(functions, "_CHUNK", request.param)
+        lines = []
+        checked = functions._parse_line_checked
+
+        def reread(line, lineno):
+            lines.append(line)
+            return checked(line, lineno)
+
+        monkeypatch.setattr(functions, "_parse_line_checked", reread)
+        return lines
+
+    @pytest.mark.parametrize("text", TEXT_CORPUS + CHUNK_CORPUS)
+    def test_against_reference(self, rereads, text):
+        got = outcome(parse_function_text, text)
+        assert got == outcome(reference_parse_text, text)
+        if isinstance(got, FiniteFunction):
+            # read by the chunked reader alone
+            assert rereads == []
+            assert set(map(type, got.images)) == {int}
+
+    def test_corpus_has_valid_and_invalid_lines(self):
+        outcomes = [outcome(reference_parse_text, t) for t in CHUNK_CORPUS]
+        valid = sum(isinstance(o, FiniteFunction) for o in outcomes)
+        assert 8 <= valid <= len(CHUNK_CORPUS) - 8
+
+    def test_compose_equals_checked_construction(self):
+        rng = random.Random(7)
+        for n, k, m in [(1, 1, 1), (5, 3, 4), (40, 7, 90), (300, 300, 2)]:
+            g = FiniteFunction(n, k, rng.choices(range(k), k=n))
+            f = FiniteFunction(k, m, rng.choices(range(m), k=k))
+            h = compose(f, g)
+            checked = FiniteFunction(n, m, [f(g(x)) for x in range(n)])
+            assert h == checked and hash(h) == hash(checked)
+            assert repr(h) == repr(checked)
+            assert type(h.images) is tuple
+            assert h.fiber_sizes() == checked.fiber_sizes()
+            assert h.max_fiber() == checked.max_fiber()
+
+    def test_text_parse_holds_no_token_list(self):
+        # Parsing keeps the image tuple and its ints.  On top of those
+        # the reader may hold, all at once at worst: the list the images
+        # are gathered in (8 bytes an image, at most 1/8 over-allocated),
+        # the image list split off the header (one byte a character
+        # here) and one chunk with its tokens.  A list of every token
+        # of the line would need far more.
+        n = 10**5
+        rng = random.Random(5)
+        line = f"{n} {n} : " + " ".join(
+            str(rng.randrange(n) + 1) for _ in range(n)
+        )
+        tracemalloc.start()
+        try:
+            f = parse_function_text(line)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.domain_size == n
+        body = line.split(None, 3)[3]
+        chunk = body[:body.find(" ", functions._CHUNK)]
+        chunk_tokens = chunk.split()
+        slack = (
+            sys.getsizeof(list(f.images)) * 9 // 8
+            + sys.getsizeof(body)
+            + sys.getsizeof(chunk)
+            + sys.getsizeof(chunk_tokens)
+            + sum(map(sys.getsizeof, chunk_tokens))
+        )
+        tokens = line.split()
+        token_list = sys.getsizeof(tokens) + sum(map(sys.getsizeof, tokens))
+        assert slack < token_list / 2
+        assert peak < kept + slack

@@ -136,6 +136,43 @@ class TestFiberCache:
             # read again from the cache
             assert f.fiber_sizes() == tuple(fibers)
 
+    @pytest.mark.parametrize("n,m", SIZES)
+    def test_max_fiber_first_then_degrees(self, n, m):
+        # max_fiber builds the histogram that degree_q then reads
+        rng = random.Random(n * 1000 + m + 1)
+        f = make_function(n, m, rng.choices(range(m), k=n))
+        fibers = plain_fibers(f)
+        assert f.max_fiber() == max(fibers)
+        for q in range(1, 6):
+            assert f.degree_q(q) == Fraction(sum(c**q for c in fibers), n)
+        assert f.degree() == Fraction(sum(c * c for c in fibers), n)
+        assert f.max_fiber() == max(fibers)
+
+    def test_histogram_is_not_part_of_the_value(self):
+        f = make_function(6, 4, [3, 0, 3, 3, 1, 0])
+        fresh = make_function(6, 4, [3, 0, 3, 3, 1, 0])
+        assert f.max_fiber() == 3
+        assert f._histogram == {3: 1, 2: 1, 1: 1, 0: 1}
+        assert fresh._histogram is None
+        assert f == fresh and fresh == f
+        assert (hash(f), repr(f)) == (hash(fresh), repr(fresh))
+        g = pickle.loads(pickle.dumps(f))
+        assert g._histogram is None and g._fibers is None
+        assert pickle.dumps(f) == pickle.dumps(fresh)
+        assert g == f and g.degree_q(3) == Fraction(3**3 + 2**3 + 1, 6)
+        with pytest.raises(AttributeError):
+            f._histogram = {6: 1}
+        with pytest.raises(AttributeError):
+            del f._histogram
+        assert f.max_fiber() == 3
+
+    @pytest.mark.parametrize("images", [
+        [float("nan")], [False], [True],
+    ])
+    def test_constructor_still_checks_types(self, images):
+        with pytest.raises(OutOfRangeImageError, match="not an integer"):
+            FiniteFunction(1, 1, images)
+
     def test_cache_is_not_part_of_the_value(self):
         f = make_function(4, 3, [0, 2, 2, 1])
         fresh = make_function(4, 3, [0, 2, 2, 1])

@@ -465,9 +465,36 @@ class TestSquareMomentIdentity:
         assert report.parameters == {"m": 3, "n": 3, "r": 3}
 
     def test_budget(self):
-        # C(59, 29) ~ 5.9e16 compositions: refused by counting, not run
-        with pytest.raises(BudgetExceededError, match="59132290782430712"):
+        # C(59, 29) ~ 5.9e16 compositions of 30 parts each: refused by
+        # counting, not run
+        with pytest.raises(
+            BudgetExceededError, match=str(59132290782430712 * 30)
+        ):
             check_square_moment_identity(30, (1,) * 30)
+
+    def test_budget_weighs_each_composition_by_its_parts(
+        self, monkeypatch, deadline
+    ):
+        def walked(*_args):
+            raise AssertionError("summed before refusing")
+
+        # 60,000 compositions under the budget, 3.6e9 steps over it
+        monkeypatch.setattr(oracle, "_weighted_composition_sum", walked)
+        with pytest.raises(BudgetExceededError, match="3600000000"):
+            check_square_moment_identity(1, (1,) * 60000)
+        # 1000 compositions of 1000 parts are 10^6 steps, at the budget
+        with pytest.raises(AssertionError, match="summed"):
+            check_square_moment_identity(1, (1,) * 1000)
+        with pytest.raises(BudgetExceededError, match="1002001"):
+            check_square_moment_identity(1, (1,) * 1001)
+
+    def test_budget_counts_only_compositions_walked(self):
+        # nothing is put on a zero part before the last, so 31 of the
+        # C(59, 29) compositions are walked, 30 steps each
+        parts = (1,) + (0,) * 28 + (1,)
+        report = check_square_moment_identity(30, parts)
+        # m(m-1) r^(m-2) * 2 + m r^m at m = 30, r = 2
+        assert report.match and report.oracle_value == 465 * 2**30
 
     def test_guards(self):
         with pytest.raises(InvalidSizeError):
