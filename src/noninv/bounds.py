@@ -137,7 +137,9 @@ def check_composition_bound(
 def check_max_fiber_degree_bound(f: FiniteFunction) -> bool:
     """Whether max_fiber(f)^2 <= |X| * deg(f); true for every f."""
     mf = f.max_fiber()
-    return Fraction(mf * mf) <= f.domain_size * f.degree()
+    # deg(f) as degree_q(2), read from the fiber-size histogram that
+    # max_fiber has just built, rather than a second pass over the fibers
+    return Fraction(mf * mf) <= f.domain_size * f.degree_q(2)
 
 
 def compare_bounds(f: FiniteFunction, g: FiniteFunction) -> BoundReport:

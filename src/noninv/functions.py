@@ -239,9 +239,8 @@ def parse_function_text(text: str) -> FiniteFunction:
     A line that passes every check is read in one pass
     (``_parse_valid_line``): no list of all its tokens is built, and
     ``min`` and ``max`` check the range of the images.  Any other line
-    is read again token by token (``_parse_line_checked``), which
-    raises a ``FunctionFileError`` at the line and column of the first
-    error.
+    is read again token by token (``_raise_line_error``), which raises
+    a ``FunctionFileError`` at the line and column of the first error.
     """
     lines = text.splitlines()
     content = [i for i, ln in enumerate(lines, 1) if ln and not ln.isspace()]
@@ -255,7 +254,7 @@ def parse_function_text(text: str) -> FiniteFunction:
     line = lines[lineno - 1]
     function = _parse_valid_line(line)
     if function is None:
-        function = _parse_line_checked(line, lineno)
+        _raise_line_error(line, lineno)
     return function
 
 
@@ -297,9 +296,13 @@ def _zero_based_images(body: str) -> list[int]:
     return images
 
 
-def _parse_line_checked(line: str, lineno: int) -> FiniteFunction:
-    """Parse ``line`` token by token, checking the header, the image
-    count and then each image in order."""
+def _raise_line_error(line: str, lineno: int) -> NoReturn:
+    """Raise the first error of a line that ``_parse_valid_line``
+    refused, checking its tokens in order: the header, the image count
+    and then each image.
+
+    That reader makes the same checks on the same tokens, so one of
+    them fails here."""
     tokens = line.split()
     line_end = len(line) + 1
 
@@ -334,13 +337,6 @@ def _parse_line_checked(line: str, lineno: int) -> FiniteFunction:
         raise FunctionFileError(
             f"expected {n} images, got {count}", lineno, col
         )
-    try:
-        # zero-based images, range-checked by the constructor
-        return FiniteFunction(
-            n, m, tuple(map(sub, map(int, islice(tokens, 3, None)), repeat(1)))
-        )
-    except ValueError:  # a token int() refuses, or an image out of range
-        pass
     _raise_first_bad_image(line, lineno, tokens, m)
 
 

@@ -546,7 +546,10 @@ def check_square_moment_identity(
     The left side's walk is weighed against ``DEFAULT_BUDGET`` before
     any composition is summed: the compositions it visits (those with
     nothing on a zero part before the last) times the parts, since each
-    costs O(parts) in the walk and in ``_square_sum``.
+    costs O(parts) in the walk and in ``_square_sum``.  The numbers
+    both sides form (r^m, the walk's weights and binomials) have at most
+    about m * bit_length(r) bits, which the budget also caps, so a
+    large m is refused even when few compositions are walked.
     """
     if m < 1:
         raise InvalidSizeError(f"m must be >= 1, got {m}")
@@ -565,7 +568,15 @@ def check_square_moment_identity(
         f"weak compositions of {m} into {n} parts, weighed by their {n} "
         "parts,",
     )
-    lhs = _weighted_composition_sum(m, parts, _square_sum)
+    # every weight and binomial of the walk is at most
+    # (r + 1)^m <= 2^bits; r^m itself is formed on the right
+    bits = m * r.bit_length()
+    if bits > DEFAULT_BUDGET.max_states:
+        raise BudgetExceededError(
+            f"the powers up to r^m with m = {m} and r = sum(parts) need "
+            f"{bits} bits, budget is {DEFAULT_BUDGET.max_states}"
+        )
+    lhs =_weighted_composition_sum(m, parts, _square_sum)
 
     lead = m * (m - 1)
     first = lead * r ** (m - 2) * _square_sum(parts) if lead else 0

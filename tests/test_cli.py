@@ -209,6 +209,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "needs 3600000000 enumerated objects" in err
 
+    def test_en_refused_by_the_bits_of_its_powers(self, capsys, deadline):
+        # one composition walked, but powers of 10^8 bits
+        code, out, err = invoke(
+            capsys, "verify", "en", "--m", "100000000", "--parts", "0,2"
+        )
+        assert (code, out) == (2, "")
+        assert "need 200000000 bits, budget is 1000000" in err
+
     @pytest.mark.parametrize("argv", [
         ("degq", "--n", "1", "--m", "1000000", "--qmax", "1"),
         ("chain", "--sizes", "1,1000000"),

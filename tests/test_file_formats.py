@@ -392,16 +392,16 @@ class TestChunkedTextParse:
     @pytest.fixture(params=[1, 2, 7])
     def rereads(self, request, monkeypatch):
         """Set the chunk size; collect the lines read again by the
-        checked parser."""
+        error reporter."""
         monkeypatch.setattr(functions, "_CHUNK", request.param)
         lines = []
-        checked = functions._parse_line_checked
+        report = functions._raise_line_error
 
         def reread(line, lineno):
             lines.append(line)
-            return checked(line, lineno)
+            report(line, lineno)
 
-        monkeypatch.setattr(functions, "_parse_line_checked", reread)
+        monkeypatch.setattr(functions, "_raise_line_error", reread)
         return lines
 
     @pytest.mark.parametrize("text", TEXT_CORPUS + CHUNK_CORPUS)

@@ -488,6 +488,22 @@ class TestSquareMomentIdentity:
         with pytest.raises(BudgetExceededError, match="1002001"):
             check_square_moment_identity(1, (1,) * 1001)
 
+    def test_budget_caps_the_bits_of_the_powers(self, monkeypatch, deadline):
+        # m * bit_length(r) = 10^6 bits, at the budget
+        report = check_square_moment_identity(10**6, (1,))
+        assert report.match and report.oracle_value == 10**12
+
+        def walked(*_args):
+            raise AssertionError("summed before refusing")
+
+        # one composition walked, but 2^(10^8) and r^m on the right
+        # would be numbers of 10^8 bits
+        monkeypatch.setattr(oracle, "_weighted_composition_sum", walked)
+        with pytest.raises(BudgetExceededError, match="200000000 bits"):
+            check_square_moment_identity(10**8, (0, 2))
+        with pytest.raises(BudgetExceededError, match="1000001 bits"):
+            check_square_moment_identity(10**6 + 1, (1,))
+
     def test_budget_counts_only_compositions_walked(self):
         # nothing is put on a zero part before the last, so 31 of the
         # C(59, 29) compositions are walked, 30 steps each
