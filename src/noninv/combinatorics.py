@@ -78,18 +78,21 @@ def check_stirling_rows(n: int) -> None:
 class StirlingTable:
     """Memoized triangles of Stirling numbers of both kinds.
 
-    Rows are grown lazily, whole rows at a time: reading entry (n, k) or
-    row n materializes all rows up to n.  Row n+1 of each kind is built
-    from row n in one ``map`` over the row and its shift, by the
-    recurrences {n+1, k} = k{n, k} + {n, k-1} and
+    Rows are grown lazily, whole rows at a time, and each kind only once
+    it is read: reading entry (n, k) or row n of one kind materializes
+    that kind's rows up to n and builds no row of the other.  Row n+1
+    of each kind is built from row n in one ``map`` over the row and its
+    shift, by the recurrences {n+1, k} = k{n, k} + {n, k-1} and
     [n+1, k] = n[n, k] + [n, k-1].  ``ensure`` is the only place rows
-    grow; it refuses rows past ``MAX_STIRLING_ROWS`` before building any.
-    Growth takes no lock, so threads may share a table only for rows
-    that ``ensure`` has already built.  Hot loops read whole rows
-    (``second_row``, ``first_rows``) and index the tuples, so they pay
-    one ``ensure`` per row or per triangle, not per entry.
-    ``first_signed_sums`` keeps the sum of each signed first-kind row,
-    taken the first time it is read.
+    grow: it grows every kind in use, those read past the rows they
+    hold, and both kinds of a table no read has used yet (such as one
+    built with ``max_n`` > 0).  It refuses rows past
+    ``MAX_STIRLING_ROWS`` before building any.  Growth takes no lock,
+    so threads may share a table only for rows that ``ensure`` has
+    already built.  Hot loops read whole rows (``second_row``,
+    ``first_rows``) and index the tuples, so they pay one ``ensure`` per
+    row or per triangle, not per entry.  ``first_signed_sums`` keeps the
+    sum of each signed first-kind row, taken the first time it is read.
     """
 
     def __init__(self, max_n: int = 0):
@@ -98,31 +101,55 @@ class StirlingTable:
         self._first: list[tuple[int, ...]] = [(1,)]
         # entry i is sum_{j=1..i} s(i, j), an empty sum at i = 0
         self._first_sums: list[int] = [0]
+        # the kinds ensure grows, and the last row all of them hold
+        self._grows_second = self._grows_first = False
+        self._rows = 0
         self.ensure(max_n)
 
     @property
     def max_n(self) -> int:
-        return len(self._second) - 1
+        """The last row that every kind in use holds."""
+        return self._rows
 
     def ensure(self, n: int) -> None:
-        """Materialize both triangles up to row n."""
-        if n <= self.max_n:
+        """Materialize every kind in use up to row n: both kinds if no
+        read has used either yet."""
+        if n <= self._rows:
             return
         check_stirling_rows(n)
+        if not (self._grows_second or self._grows_first):
+            self._grows_second = self._grows_first = True
         second, first = self._second, self._first
-        while len(second) <= n:
+        while self._grows_second and len(second) <= n:
             row_n = len(second) - 1
-            prev2, prev1 = second[row_n], first[row_n]
-            # entry k of each map pairs row n at k (padded with a
-            # trailing 0) with row n at k - 1 (shifted by a leading 0)
+            prev = second[row_n]
+            # entry k pairs row n at k (padded with a trailing 0) with
+            # row n at k - 1 (shifted by a leading 0)
             second.append(tuple(map(
                 add,
-                map(mul, range(row_n + 2), prev2 + (0,)),
-                (0,) + prev2,
+                map(mul, range(row_n + 2), prev + (0,)),
+                (0,) + prev,
             )))
+        while self._grows_first and len(first) <= n:
+            row_n = len(first) - 1
+            prev = first[row_n]
             first.append(tuple(map(
-                add, map(row_n.__mul__, prev1 + (0,)), (0,) + prev1
+                add, map(row_n.__mul__, prev + (0,)), (0,) + prev
             )))
+        self._rows = n
+
+    def _grown(self, second: bool, n: int) -> list[tuple[int, ...]]:
+        """One kind's rows, grown to row n through ``ensure``: a kind
+        that lacks row n comes into use, so that ``ensure`` grows it."""
+        rows = self._second if second else self._first
+        if n >= len(rows):
+            if second:
+                self._grows_second = True
+            else:
+                self._grows_first = True
+            self._rows = min(self._rows, len(rows) - 1)
+        self.ensure(n)
+        return rows
 
     def second(self, n: int, k: int) -> int:
         """{n brace k}: partitions of an n-set into k nonempty blocks."""
@@ -130,8 +157,7 @@ class StirlingTable:
             raise ValueError(f"n must be >= 0, got {n}")
         if k < 0 or k > n:
             return 0
-        self.ensure(n)
-        return self._second[n][k]
+        return self.second_row(n)[k]
 
     def first_unsigned(self, n: int, k: int) -> int:
         """[n brack k]: permutations of n elements with k cycles."""
@@ -139,8 +165,7 @@ class StirlingTable:
             raise ValueError(f"n must be >= 0, got {n}")
         if k < 0 or k > n:
             return 0
-        self.ensure(n)
-        return self._first[n][k]
+        return self.first_row(n)[k]
 
     def first_signed(self, n: int, k: int) -> int:
         """s(n, k) = (-1)^(n-k) * [n brack k]."""
@@ -149,18 +174,15 @@ class StirlingTable:
 
     def second_row(self, n: int) -> tuple[int, ...]:
         """({n brace 0}, ..., {n brace n})."""
-        self.ensure(n)
-        return self._second[n]
+        return self._grown(True, n)[n]
 
     def first_row(self, n: int) -> tuple[int, ...]:
         """([n brack 0], ..., [n brack n])."""
-        self.ensure(n)
-        return self._first[n]
+        return self._grown(False, n)[n]
 
     def first_rows(self, n: int) -> list[tuple[int, ...]]:
         """Rows 0..n of the unsigned first kind, through one ``ensure``."""
-        self.ensure(n)
-        return self._first[: n + 1]
+        return self._grown(False, n)[: n + 1]
 
     def first_signed_sums(self, n: int) -> list[int]:
         """(a_0, ..., a_n), a_i = sum_{j=1..i} s(i, j): the signed first
@@ -171,9 +193,9 @@ class StirlingTable:
         """
         sums = self._first_sums
         if n >= len(sums):
-            self.ensure(n)
+            rows = self._grown(False, n)
             for i in range(len(sums), n + 1):
-                row = self._first[i]
+                row = rows[i]
                 # s(i, j) has the sign of (-1)^(i-j); [i brack 0] = 0
                 sums.append(sum(row[i::-2]) - sum(row[i - 1::-2]))
         return sums[: n + 1]
@@ -210,7 +232,8 @@ def stirling_transform(a: Sequence[int]) -> list[int]:
     """b_l = sum_{i=1..l} {l brace i} * a_i, one-indexed, same length as a."""
     if len(a) == 0:
         raise ValueError("sequence must have length >= 1")
-    _SHARED.ensure(len(a))
+    # the last row first: one ensure, which refuses before any growth
+    _SHARED.second_row(len(a))
     # row l from k = 1 pairs {l brace i} with a_i, i = 1..l
     return [
         sum(map(mul, _SHARED.second_row(l)[1:], a))

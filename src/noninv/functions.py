@@ -380,11 +380,12 @@ def parse_function_json(text: str) -> FiniteFunction:
     if extra:
         raise FunctionFileError(f"unknown keys: {sorted(extra)}", 1, 1)
     n, m, images = data["domain"], data["codomain"], data["images"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    # exact types: a bool is an int instance but neither a size nor an
+    # image
+    if type(n) is not int or type(m) is not int:
         raise FunctionFileError("domain and codomain must be integers", 1, 1)
     if n < 1 or m < 1:
         raise FunctionFileError("domain and codomain must be >= 1", 1, 1)
-    # exact types: a bool is an int instance but not an image
     if not isinstance(images, list) or not set(map(type, images)) <= {int}:
         raise FunctionFileError("images must be a list of integers", 1, 1)
     if len(images) != n:

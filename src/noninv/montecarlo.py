@@ -16,6 +16,15 @@ independent uniform draws, read low digit first.  Bounds above 2^64,
 which no word could meet, are refused.  For b > 2^32, k = 1 and each
 draw takes one word, as in version 2.
 
+Words are mixed a round at a time, not one by one (``_words``): the
+j-th word after state s is mix(s + j * gamma), so a round lays its
+words out one per 128-bit lane of one integer and runs each xor-shift
+and multiply of the mixer once on all of them ("SIMD within a
+register", Lamport, CACM 1975).  A round takes only the words the
+draws still missing need if every word is accepted, so a call reads
+and returns the same words and state as a word-at-a-time loop; how
+words are mixed is not part of the contract.
+
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i
 has its own SplitMix64 stream whose initial state is the i-th output
 word of a SplitMix64 stream seeded with the master seed
@@ -61,6 +70,7 @@ not its draws.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from functools import cache
 from fractions import Fraction
@@ -93,12 +103,12 @@ _MIX2 = 0x94D049BB133111EB
 BLOCK_SAMPLES = 1024
 STREAM_CONTRACT = 4
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
-# draws).  _draw makes about 6-7M draws/s below 50, 3-4M below 10^4 and
-# 1-1.5M above 2^32, one per word (whole-word requests, CPython 3.11.7,
-# one core of a 2-core VM whose speed drifts by up to a third); chain
-# sampling on 50,50,50,50 runs at 2.6-3.7M draws/s with its counting
-# (28-40 us a sample of about 105 draws), so a run at the cap takes
-# 27-38 s
+# draws).  _draw makes about 7-13M draws/s below 50, 4.6-8M below 10^4
+# and 2-3.6M above 2^32, one per word (requests of 4,096 whole words,
+# or 2,500 below 10^4; CPython 3.11.7, one core of a 2-core VM whose
+# speed drifts by up to 45%); chain sampling on 50,50,50,50 runs at
+# 2.3-4M draws/s with its counting (26-46 us a sample of about 105
+# draws), so a run at the cap takes 25-45 s
 MAX_DRAWS = 10**8
 # the batches of a block's digit streams hold at most this many digits
 # beyond one word per bound, so a sample holds its fiber counts and the
@@ -133,6 +143,57 @@ class SplitMix64:
         return value
 
 
+# the most words one round of _words mixes; its lane constants take
+# 16 bytes a lane each
+_LANES = 1024
+
+
+@cache
+def _lane_constants() -> tuple[int, int, int]:
+    """One, j * gamma and 2^64 - 1 in 128-bit lanes j = 1.._LANES (lane
+    j at bit 128 (j - 1)), built on the first draw: a run that draws
+    nothing does not pay for them."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+    index = int.from_bytes(
+        b"".join(j.to_bytes(16, "little") for j in range(1, _LANES + 1)),
+        "little",
+    )
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+    return ones, _GAMMA * index, mask
+
+
+def _lane_words(
+    lanes: int, n: int, byteorder: str = sys.byteorder
+) -> list[int]:
+    """The low 64-bit halves of ``lanes``' n 128-bit lanes, low lane
+    first, read as 64-bit words of ``byteorder``: the machine's, or the
+    words come out byte-swapped."""
+    halves = memoryview(lanes.to_bytes(n << 4, byteorder)).cast("Q")
+    # little-endian bytes start at lane 0's low half; big-endian ones
+    # end there
+    return (halves[::2] if byteorder == "little" else halves[::-2]).tolist()
+
+
+def _words(state: int, n: int) -> list[int]:
+    """The next n words (n <= ``_LANES``) of the SplitMix64 stream at
+    ``state``, mixed together, one 128-bit lane of one int per word
+    (SWAR).  Lane j starts at state + j * gamma mod 2^64; each
+    xor-shift and each multiply by a 64-bit constant is one operation
+    on the whole int.  A mask after each keeps every lane below 2^64:
+    the shift moves the next lane's low bits into this lane's high
+    half, and a 64 x 64-bit product fills its own lane but no more."""
+    ones, gammas, mask = _lane_constants()
+    if n < _LANES:
+        cut = (1 << (n << 7)) - 1
+        ones, gammas, mask = ones & cut, gammas & cut, mask & cut
+    z = (state * ones + gammas) & mask
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    # the low halves are final: the last shift moves bits only into
+    # the high halves, which _lane_words skips
+    return _lane_words(z ^ (z >> 31), n)
+
+
 # unbounded: a run reads it for one bound per distinct set size, and a
 # block reads every bound once per batch, round-robin, so a cache
 # smaller than the bound count would miss on every read
@@ -158,7 +219,12 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     is uniform; its k base-b digits, low digit first, are k independent
     draws.  The call reads only the digits it still needs from its last
     word and drops the rest (the block samplers ask for whole words).
-    A bound above 2^64 is refused: no word would be accepted."""
+    A bound above 2^64 is refused: no word would be accepted.
+
+    Words are mixed in rounds by ``_words``.  A round takes as many
+    words as the draws still missing need if every word is accepted, at
+    most ``_LANES``, so the call reads no word past its last accepted
+    one, as a word-at-a-time loop would."""
     if bound > 1 << 64:
         raise InvalidSizeError(
             f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
@@ -169,18 +235,17 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     more_digits = range(k - 1)
     need = count
     while need > 0:
-        # next_word and _mix64, inlined: this loop is the sampler's cost
-        state = (state + _GAMMA) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        z ^= z >> 31
-        if z < threshold:
-            append(z % bound)
-            need -= k
-            # the word's other digits; the last word's only up to count
-            for _ in more_digits if need >= 0 else range(k - 1 + need):
-                z //= bound
+        words = min(-(-need // k), _LANES)
+        for z in _words(state, words):
+            if z < threshold:
                 append(z % bound)
+                need -= k
+                # the word's other digits; the last word's only up to
+                # count
+                for _ in more_digits if need >= 0 else range(k - 1 + need):
+                    z //= bound
+                    append(z % bound)
+        state = (state + words * _GAMMA) & _MASK64
     return state, draws
 
 

@@ -3,6 +3,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from noninv import (
 )
 from noninv import cli, oracle
 from noninv.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -111,6 +114,21 @@ class TestDeg:
         code, _, err = invoke(capsys, "deg", "--file", str(path))
         assert code == 2
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"domain": true, "codomain": 2, "images": [1]}',
+        '{"domain": 1, "codomain": true, "images": [0]}',
+    ], ids=["domain", "codomain"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_bool_size_refused(self, capsys, tmp_path, text, mode):
+        # true is an int to isinstance, but not a set size
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "deg", "--file", str(path), *mode)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1, column 1: domain and codomain must be integers\n"
+        )
 
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     def test_non_utf8_file(self, capsys, tmp_path, mode):
@@ -328,6 +346,25 @@ class TestStirling:
             for n, row in enumerate(triangle)
         ]
 
+    @pytest.mark.parametrize("kind, held", [
+        ("second", (41, 1)), ("first", (1, 41)), ("first-signed", (1, 41)),
+    ])
+    def test_builds_only_its_kind(self, capsys, monkeypatch, kind, held):
+        # rows of (second kind, first kind) the command's table holds
+        tables = []
+
+        class Recorded(cli.StirlingTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(cli, "StirlingTable", Recorded)
+        code, _, _ = invoke(capsys, "stirling", "--kind", kind,
+                            "--rows", "40", "--json")
+        (table,) = tables
+        assert code == 0
+        assert (len(table._second), len(table._first)) == held
+
     def test_signed_rows_match_per_entry_sign(self, capsys):
         code, doc, _ = invoke(capsys, "stirling", "--kind", "first-signed",
                               "--rows", "12", "--json")
@@ -500,6 +537,25 @@ class TestSimulate:
             )
             assert code == 0
             assert json.loads(out)["results"][0]["stream_contract"] == 4
+
+    @pytest.mark.parametrize("name, argv", [
+        ("simulate_chain_50x4.json",
+         ("chain", "--sizes", "50,50,50,50", "--samples", "1100")),
+        ("simulate_chain_20x20.json",
+         ("chain", "--sizes", ",".join(["20"] * 20), "--samples", "1100")),
+        ("simulate_maxfiber_10000.json",
+         ("maxfiber", "--n", "10000", "--samples", "20")),
+    ])
+    def test_golden_bytes(self, capsys, name, argv):
+        # stdout recorded under stream contract 4; 1,100 samples cross
+        # into a second block.  A changed draw moves the sums behind the
+        # mean and standard error, so any bit the generator changes
+        # fails here
+        code, out, err = invoke(
+            capsys, "simulate", *argv, "--seed", "17", "--json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
 
     def test_chain_through_a_one_point_set(self, capsys, deadline):
         # bound 1: every word is accepted and holds 64 zero digits

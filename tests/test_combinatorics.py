@@ -264,6 +264,37 @@ class TestStirlingTable:
             assert table.first_rows(n) == first[: n + 1]
             assert table.second_row(n) == second[n]
 
+    def test_each_kind_grows_on_demand(self):
+        # rows held by (second kind, first kind), row 0 included: a read
+        # of one kind builds no row of the other; once both are in use,
+        # growing one to row n grows the other with it
+        second, first = entry_recurrence_rows(40)
+        table = StirlingTable()
+
+        def held():
+            return len(table._second), len(table._first)
+
+        assert table.first_rows(30) == first[:31]
+        assert held() == (1, 31) and table.max_n == 30
+        assert table.first_signed_sums(30)[-1] == 0
+        assert table.first_unsigned(12, 5) == first[12][5]
+        assert held() == (1, 31)
+        assert table.second(9, 3) == 3025
+        assert held() == (10, 31) and table.max_n == 9
+        assert table.second_row(35) == second[35]
+        assert held() == (36, 36) and table.max_n == 35
+        table.ensure(40)
+        assert held() == (41, 41)
+        assert [table.first_row(n) for n in range(41)] == first
+        assert [table.second_row(n) for n in range(41)] == second
+
+    def test_ensure_grows_both_kinds_before_any_read(self):
+        table = StirlingTable()
+        table.ensure(6)
+        assert (len(table._second), len(table._first)) == (7, 7)
+        assert StirlingTable(4).max_n == 4
+        assert len(StirlingTable(4)._first) == 5
+
     def test_first_rows_is_a_copy(self):
         table = StirlingTable(5)
         rows = table.first_rows(3)

@@ -85,6 +85,13 @@ class TestJsonFormat:
         with pytest.raises(FunctionFileError, match="zero-based"):
             parse_function_json('{"domain": 2, "codomain": 2, "images": [1, 2]}')
 
+    @pytest.mark.parametrize("key", ["domain", "codomain"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_size_refused(self, key, value):
+        data = {"domain": 1, "codomain": 1, "images": [0], key: value}
+        with pytest.raises(FunctionFileError, match="must be integers"):
+            parse_function_json(json.dumps(data))
+
     def test_missing_key(self):
         with pytest.raises(FunctionFileError, match="missing keys"):
             parse_function_json('{"domain": 2, "images": [0, 1]}')
@@ -227,7 +234,8 @@ def reference_parse_json(text: str) -> FiniteFunction:
     if extra:
         raise FunctionFileError(f"unknown keys: {sorted(extra)}", 1, 1)
     n, m, images = data["domain"], data["codomain"], data["images"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    # sizes by exact type, as the parser now checks them
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, m)):
         raise FunctionFileError("domain and codomain must be integers", 1, 1)
     if n < 1 or m < 1:
         raise FunctionFileError("domain and codomain must be >= 1", 1, 1)

@@ -1,5 +1,6 @@
 """Seeded sampling: stream contract, determinism, statistical sanity."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -311,7 +312,9 @@ class TestSplitMix64:
             for _ in range(200):
                 assert 0 <= stream.randbelow(bound) < bound
 
-    @pytest.mark.parametrize("bound", [1, 2, 7, 10**9, 2**63 + 5, 2**64])
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 7, 10**9, 2**63 + 1, 2**63 + 5, 2**64]
+    )
     def test_randbelow_matches_reference_rejection(self, bound):
         # one draw per call, so one accepted word each: same values, same
         # state as the reference
@@ -368,12 +371,13 @@ class TestDrawContract:
 
     @pytest.mark.parametrize("bound", CONTRACT_BOUNDS)
     def test_draw_matches_reference(self, deadline, bound):
-        # values and end state, for counts around one word's digits, from
-        # enough seeds that words in the rejected range come up for the
-        # bounds that reject often (7, 50 and 3 reject 15-34% of words)
+        # values and end state, for counts around one word's digits and
+        # of 40 words less one digit (rounds of many words), from enough
+        # seeds that words in the rejected range come up for the bounds
+        # that reject often (7, 50 and 3 reject 15-34% of words)
         k = reference_digits(bound)
         for seed in range(10):
-            for count in (1, k - 1, k, k + 1, 3 * k + 2):
+            for count in (1, k - 1, k, k + 1, 3 * k + 2, 40 * k - 1):
                 reference = SplitMix64(seed)
                 expected = reference_draw(reference, bound, count)
                 state, draws = montecarlo._draw(
@@ -412,6 +416,97 @@ class TestDrawContract:
             chi_square = sum((c - expected) ** 2 / expected
                              for c in pairs.values())
             assert chi_square < 26.12, (offset, chi_square)
+
+
+LANES = montecarlo._LANES
+
+
+class TestBatchedWords:
+    """``_draw`` mixes its words a round at a time in lane-packed ints
+    (``_words``); every draw and every end state must still be the
+    word-at-a-time reference's."""
+
+    @pytest.mark.parametrize("n", [1, 2, LANES - 1, LANES])
+    def test_words_are_next_words(self, n):
+        for seed in (0, 5, (1 << 64) - 1):
+            stream = SplitMix64(seed)
+            assert montecarlo._words(seed, n) == [
+                stream.next_word() for _ in range(n)
+            ]
+
+    def test_lanes_decode_on_either_byte_order(self):
+        # the machine's order reads the words; the other order reads
+        # each of them byte-swapped, in the same lane order
+        words = montecarlo._words(9, 5)
+        lanes = sum(w << (128 * j) for j, w in enumerate(words))
+        native = montecarlo._lane_words(lanes, 5)
+        other = "big" if sys.byteorder == "little" else "little"
+        swapped = montecarlo._lane_words(lanes, 5, other)
+        assert native == words
+        assert [
+            int.from_bytes(w.to_bytes(8, "little"), "big") for w in swapped
+        ] == words
+
+    @staticmethod
+    def check(seed, bound, count, monkeypatch):
+        """Compare one call with the reference; return the sizes of its
+        rounds, which must add up to the words it read: no word is
+        mixed past the last one accepted."""
+        rounds = []
+        words = montecarlo._words
+
+        def recording_words(state, n):
+            rounds.append(n)
+            return words(state, n)
+
+        reference = SplitMix64(seed)
+        expected = reference_draw(reference, bound, count)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_words", recording_words)
+            state, draws = montecarlo._draw(seed, bound, count)
+        assert draws == expected, (seed, bound, count)
+        assert state == reference._state, (seed, bound, count)
+        assert sum(rounds) == words_between(seed, state)
+        return rounds
+
+    def test_half_the_words_rejected(self, deadline, monkeypatch):
+        # below 2^63 + 1 a word is accepted under 2^63 + 1 only: about
+        # half are rejected, so a call takes several rounds, each of the
+        # words still missing, and past _LANES words a round is cut to
+        # _LANES
+        for seed, count in [(1, 1), (2, 7), (3, 100), (4, LANES + 300)]:
+            rounds = self.check(seed, 2**63 + 1, count, monkeypatch)
+            assert len(rounds) > (count > 1)
+            assert rounds[0] == min(count, LANES)
+
+    def test_count_zero(self):
+        for bound in (1, 20, 2**64):
+            assert montecarlo._draw(123, bound, 0) == (123, [])
+
+    @pytest.mark.parametrize("bound", [1, 20, 2**64])
+    @pytest.mark.parametrize("words", [LANES - 1, LANES, LANES + 1])
+    def test_rounds_around_the_lane_count(
+        self, deadline, monkeypatch, bound, words
+    ):
+        # whole words' digits: below 1 and 2^64 every word is accepted,
+        # so the call is one round of words < _LANES, one of _LANES, or
+        # one of _LANES and one of a single word; below 20 some words
+        # are rejected and more rounds follow
+        rounds = self.check(
+            6, bound, words * reference_digits(bound), monkeypatch
+        )
+        assert rounds[0] == min(words, LANES)
+        if bound != 20:
+            assert rounds == [min(words, LANES)] + [1] * (words > LANES)
+
+    def test_sample_function(self):
+        # past _LANES words, and with about half the words rejected
+        # (randbelow's draws are checked in TestSplitMix64)
+        for n, m in [(LANES * 14 + 5, 20), (3000, 2**63 + 1)]:
+            stream, reference = SplitMix64(42), SplitMix64(42)
+            f = sample_function(n, m, stream)
+            assert list(f.images) == reference_draw(reference, m, n)
+            assert stream._state == reference._state
 
 
 class TestSampleFunction:
