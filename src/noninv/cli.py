@@ -410,8 +410,7 @@ def _cmd_stirling(args) -> _Output:
             f"stirling --rows {rows} may print up to {digits} digits, "
             f"cap is {MAX_STIRLING_OUTPUT_DIGITS}"
         )
-    # each kind grows on its first read: the other kind builds no row
-    table = StirlingTable()
+    table = StirlingTable(rows)
     if args.kind == "second":
         triangle = [table.second_row(n) for n in range(rows + 1)]
     else:

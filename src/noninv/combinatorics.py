@@ -86,7 +86,8 @@ class StirlingTable:
     [n+1, k] = n[n, k] + [n, k-1].  ``ensure`` is the only place rows
     grow: it grows every kind in use, those read past the rows they
     hold, and both kinds of a table no read has used yet (such as one
-    built with ``max_n`` > 0).  It refuses rows past
+    built with ``max_n`` > 0), in row order, one row of each kind in
+    use per turn.  It refuses rows past
     ``MAX_STIRLING_ROWS`` before building any.  Growth takes no lock,
     so threads may share a table only for rows that ``ensure`` has
     already built.  Hot loops read whole rows (``second_row``,
@@ -120,22 +121,24 @@ class StirlingTable:
         if not (self._grows_second or self._grows_first):
             self._grows_second = self._grows_first = True
         second, first = self._second, self._first
-        while self._grows_second and len(second) <= n:
-            row_n = len(second) - 1
-            prev = second[row_n]
-            # entry k pairs row n at k (padded with a trailing 0) with
-            # row n at k - 1 (shifted by a leading 0)
-            second.append(tuple(map(
-                add,
-                map(mul, range(row_n + 2), prev + (0,)),
-                (0,) + prev,
-            )))
-        while self._grows_first and len(first) <= n:
-            row_n = len(first) - 1
-            prev = first[row_n]
-            first.append(tuple(map(
-                add, map(row_n.__mul__, prev + (0,)), (0,) + prev
-            )))
+        # each turn adds row row_n + 1 to every kind in use that lacks it
+        start = min(len(second) if self._grows_second else n + 1,
+                    len(first) if self._grows_first else n + 1)
+        for row_n in range(start - 1, n):
+            if self._grows_second and len(second) == row_n + 1:
+                prev = second[row_n]
+                # entry k pairs row n at k (padded with a trailing 0)
+                # with row n at k - 1 (shifted by a leading 0)
+                second.append(tuple(map(
+                    add,
+                    map(mul, range(row_n + 2), prev + (0,)),
+                    (0,) + prev,
+                )))
+            if self._grows_first and len(first) == row_n + 1:
+                prev = first[row_n]
+                first.append(tuple(map(
+                    add, map(row_n.__mul__, prev + (0,)), (0,) + prev
+                )))
         self._rows = n
 
     def _grown(self, second: bool, n: int) -> list[tuple[int, ...]]:

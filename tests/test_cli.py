@@ -346,25 +346,6 @@ class TestStirling:
             for n, row in enumerate(triangle)
         ]
 
-    @pytest.mark.parametrize("kind, held", [
-        ("second", (41, 1)), ("first", (1, 41)), ("first-signed", (1, 41)),
-    ])
-    def test_builds_only_its_kind(self, capsys, monkeypatch, kind, held):
-        # rows of (second kind, first kind) the command's table holds
-        tables = []
-
-        class Recorded(cli.StirlingTable):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tables.append(self)
-
-        monkeypatch.setattr(cli, "StirlingTable", Recorded)
-        code, _, _ = invoke(capsys, "stirling", "--kind", kind,
-                            "--rows", "40", "--json")
-        (table,) = tables
-        assert code == 0
-        assert (len(table._second), len(table._first)) == held
-
     def test_signed_rows_match_per_entry_sign(self, capsys):
         code, doc, _ = invoke(capsys, "stirling", "--kind", "first-signed",
                               "--rows", "12", "--json")
