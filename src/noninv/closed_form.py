@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from operator import mul
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
 from .combinatorics import (
+    _stirling_sum,
     binomial,
     stirling1_rows,
     stirling1_signed_sums,
-    stirling2_row,
 )
 from .errors import InvalidExponentError, InvalidSizeError
 
@@ -116,29 +115,27 @@ def power_difference_coeffs(t: int) -> list[int]:
     ]
 
 
+def _inner_sums(x: int, q: int) -> Iterable[int]:
+    """Yield the paper's inner sums w_i = sum_{j=1..i} s(i, j) x^(j-1),
+    i = 0..q, from the first-kind rows: (-1)^(i-1) times
+    sum_j [i brack j] (-x)^(j-1), by Horner from j = i down to 1."""
+    y = -x
+    for i, row in enumerate(stirling1_rows(q)):
+        inner = 0
+        for c in row[i:0:-1]:
+            inner = inner * y + c
+        yield inner if i % 2 else -inner
+
+
 def _power_sum_kernel(n: int, m: int, q: int) -> int:
     """The paper's double sum
 
         sum_{k=1..q} {q brace k}
             (sum_{j=1..k} (-1)^(k-j) [k brack j] n^(j-1)) m^(q-k),
 
-    read from the second-kind row q and the first-kind rows 1..q, each
-    once.  The inner sum is (-1)^(k-1) times the polynomial
-    sum_j [k brack j] x^(j-1) at x = -n, evaluated by Horner from
-    j = k down to 1; the outer sum is evaluated by Horner in m.
+    ``_stirling_sum`` at m over the inner sums w_k(n), taken as read.
     """
-    second = stirling2_row(q)
-    first = stirling1_rows(q)
-    x = -n
-    total = 0
-    for k in range(1, q + 1):
-        inner = 0
-        for c in first[k][k:0:-1]:
-            inner = inner * x + c
-        if k % 2 == 0:
-            inner = -inner
-        total = total * m + second[k] * inner
-    return total
+    return _stirling_sum(q, m, _inner_sums(n, q))
 
 
 def expected_degree_q(n: int, m: int, q: int) -> Fraction:
@@ -184,21 +181,6 @@ def closed_multinomial_power_sum(n: int, m: int, q: int) -> int:
     return value.numerator
 
 
-def _stirling_inner_sums(q: int) -> list[int]:
-    """Entry k, k = 0..q-1, is sum_{j=1..q-k} {q brace k+j} [k+j brack j].
-
-    Reads the second-kind row q once and each first-kind row i = 1..q
-    once: row i adds {q brace i} [i brack i-k] to the sums k = 0..i-1.
-    """
-    second = stirling2_row(q)
-    first = stirling1_rows(q)
-    sums = [0] * q
-    for i in range(1, q + 1):
-        s = second[i]
-        sums[:i] = [acc + s * c for acc, c in zip(sums, first[i][i:0:-1])]
-    return sums
-
-
 def stirling_identity_sum(q: int) -> int:
     """sum_{k=0..q-1} (-1)^k sum_{j=1..q-k} {q brace k+j} [k+j brack j].
 
@@ -211,36 +193,30 @@ def stirling_identity_sum(q: int) -> int:
 
         sum_{i=1..q} {q brace i} a_i,  a_i = sum_{j=1..i} s(i, j),
 
-    the Stirling transform of a_1, a_2, ... at q, where s(i, j) =
-    (-1)^(i-j) [i brack j] and a_i depends on i alone.  The a_i are
-    summed once per process (``stirling1_signed_sums``), so a call
-    costs q products, one per entry of the second-kind row q, where the
-    k-then-j order (``_stirling_inner_sums``) costs q(q+1)/2.
+    the Stirling transform of a_1, a_2, ... at q (``_stirling_sum`` at
+    m = 1), where s(i, j) = (-1)^(i-j) [i brack j] and a_i depends on i
+    alone.  The a_i are summed once per process
+    (``stirling1_signed_sums``), so a call costs q products, one per
+    entry of the second-kind row q, where the k-then-j order costs
+    q(q+1)/2.
     """
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    return sum(map(mul, stirling2_row(q), stirling1_signed_sums(q)))
+    return _stirling_sum(q, 1, stirling1_signed_sums(q))
 
 
 def power_sum_stirling_form(n: int, q: int) -> int:
     """Alternative closed form for the m = n multinomial power sum.
 
-    Evaluates n^(n-(q-2)) * sum_{k=0..q-1} (-1)^k
-    (sum_{j=1..q-k} {q brace k+j} [k+j brack j]) n^(q-k-1), carried in
-    rationals when the leading power has a negative exponent.  Equals
-    ``closed_multinomial_power_sum(n, n, q)``.
+    n^(n-(q-2)) * sum_{k=0..q-1} (-1)^k
+    (sum_{j=1..q-k} {q brace k+j} [k+j brack j]) n^(q-k-1) is, with
+    i = k + j as in ``stirling_identity_sum`` and n^(q-k-1) =
+    n^(q-i) n^(j-1), the E[deg(f, q)] kernel at m = n: it is evaluated
+    as ``closed_multinomial_power_sum(n, n, q)``.
     """
     if n < 1:
         raise InvalidSizeError(f"n must be >= 1, got {n}")
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    # Horner in n from k = 0, the coefficient of n^(q-1)
-    total = 0
-    for k, inner in enumerate(_stirling_inner_sums(q)):
-        total = total * n + (-inner if k % 2 else inner)
-    value = Fraction(n) ** (n - (q - 2)) * total
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"power sum form for ({n}, {q}) is not integral: {value}"
-        )
-    return value.numerator
+    return closed_multinomial_power_sum(n, n, q)
+

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, NegativePartError
 
@@ -231,14 +231,28 @@ def stirling1_signed_sums(n: int) -> list[int]:
     return _SHARED.first_signed_sums(n)
 
 
+def _stirling_sum(q: int, m: int, w: Iterable[int]) -> int:
+    """sum_{i=0..q} {q brace i} m^(q-i) w_i, w = (w_0, w_1, ...): the
+    Stirling double sum of every closed form, given its inner sums w_i
+    ({q brace 0} = 0 for q >= 1, so w_0 only aligns the indices).
+
+    One ``ensure`` for row q and one product per entry: Horner in m, or
+    at m = 1 a dot product, which stops at the shorter of row and w.
+    """
+    row = _SHARED.second_row(q)
+    if m == 1:
+        return sum(map(mul, row, w))
+    total = 0
+    for s, w_i in zip(row, w):
+        total = total * m + s * w_i
+    return total
+
+
 def stirling_transform(a: Sequence[int]) -> list[int]:
     """b_l = sum_{i=1..l} {l brace i} * a_i, one-indexed, same length as a."""
     if len(a) == 0:
         raise ValueError("sequence must have length >= 1")
     # the last row first: one ensure, which refuses before any growth
     _SHARED.second_row(len(a))
-    # row l from k = 1 pairs {l brace i} with a_i, i = 1..l
-    return [
-        sum(map(mul, _SHARED.second_row(l)[1:], a))
-        for l in range(1, len(a) + 1)
-    ]
+    w = (0, *a)
+    return [_stirling_sum(l, 1, w) for l in range(1, len(a) + 1)]

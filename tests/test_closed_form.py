@@ -28,7 +28,7 @@ from noninv import (
     stirling_identity_sum,
     stirling_transform,
 )
-from noninv.closed_form import _power_sum_kernel, _stirling_inner_sums
+from noninv.closed_form import _power_sum_kernel
 from noninv.combinatorics import MAX_STIRLING_ROWS, stirling1_signed_sums
 
 
@@ -378,12 +378,6 @@ class TestPowerSumKernel:
 
 
 class TestStirlingInnerSums:
-    def test_matches_per_entry_loop(self):
-        for q in range(1, 61):
-            assert _stirling_inner_sums(q) == [
-                per_entry_inner_sum(q, k) for k in range(q)
-            ], q
-
     def test_identity_sum_matches_per_entry_loop(self):
         for q in range(1, 61):
             assert stirling_identity_sum(q) == sum(

@@ -4,6 +4,7 @@ import math
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noninv import (
     BudgetExceededError,
@@ -18,6 +19,7 @@ from noninv import (
 )
 from noninv.combinatorics import (
     MAX_STIRLING_ROWS,
+    _stirling_sum,
     check_stirling_rows,
     stirling1_signed_sums,
 )
@@ -394,3 +396,27 @@ class TestStirlingTransform:
             sum(stirling2(l, i) * a[i - 1] for i in range(1, l + 1))
             for l in range(1, len(a) + 1)
         ]
+
+
+class TestStirlingSum:
+    """``_stirling_sum`` is sum_{i=0..q} {q brace i} m^(q-i) w_i, the
+    one sum behind the closed forms and the transform."""
+
+    @given(data=st.data(), q=st.integers(0, 12), m=st.integers(-5, 5))
+    def test_matches_per_entry_sum(self, data, q, m):
+        w = data.draw(st.lists(st.integers(-10**20, 10**20),
+                               min_size=q + 1, max_size=q + 1))
+        assert _stirling_sum(q, m, w) == sum(
+            stirling2(q, i) * m ** (q - i) * w[i] for i in range(q + 1)
+        )
+
+    def test_reads_weights_lazily(self):
+        weights = iter(range(100))
+        assert _stirling_sum(4, 3, weights) == sum(
+            stirling2(4, i) * 3 ** (4 - i) * i for i in range(5)
+        )
+        assert next(weights) == 5
+
+    def test_refused_past_row_cap(self, refuse_growth):
+        with pytest.raises(BudgetExceededError):
+            _stirling_sum(MAX_STIRLING_ROWS + 1, 2, [])
