@@ -27,6 +27,7 @@ from .closed_form import (
     power_difference_coeffs,
     power_sum_stirling_form,
     stirling_identity_sum,
+    stirling_power_sum,
 )
 from .combinatorics import (
     StirlingTable,

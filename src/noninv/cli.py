@@ -33,6 +33,7 @@ from .closed_form import (
     expected_degree_q,
     power_sum_stirling_form,
     stirling_identity_sum,
+    stirling_power_sum,
 )
 from .combinatorics import (
     StirlingTable,
@@ -310,11 +311,12 @@ def _cmd_verify_en(args) -> _Output:
 
 def _cmd_verify_corollary(args) -> _Output:
     budget = EnumerationBudget(args.budget)
-    # the identity sum at q multiplies the q second-kind numbers of row q
-    # by the first-kind row sums a_1..a_q, each summed once per process
+    # each sum at q multiplies the q second-kind numbers of row q by its
+    # weights: the first-kind row sums a_1..a_q, each summed once per
+    # process, and the falling factorials (q)_1..(q)_q
     qmax = args.qmax
-    budget.check(qmax * (qmax + 1) // 2,
-                 f"Stirling identity sweep to q={qmax}")
+    budget.check(qmax * (qmax + 1),
+                 f"Stirling identity and power sweeps to q={qmax}")
     check_stirling_rows(qmax)
     checks = _Checks()
     for q in range(1, qmax + 1):
@@ -327,6 +329,12 @@ def _cmd_verify_corollary(args) -> _Output:
                 multinomial_power_sum(n, n, q, budget),
                 power_sum_stirling_form(n, q),
             )
+    # the identity weighs {q brace i} by a_i = 0 past i = 1 and the
+    # power-sum form by (n-1)_(i-1) = 0 past i = n: only this sweep
+    # reads every entry of row q
+    for q in range(1, qmax + 1):
+        checks.compare("stirling-power", {"q": q},
+                       stirling_power_sum(q), q**q)
     return checks.output({"qmax": qmax, "nmax": args.nmax})
 
 
@@ -568,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = _command(vsub, "corollary", _cmd_verify_corollary,
-                 help="Stirling identity sweep and power-sum form")
+                 help="Stirling identity and power sweeps, power-sum form")
     p.add_argument("--qmax", type=_int_at_least(1), default=30)
     p.add_argument("--nmax", type=_int_at_least(0), default=5)
     _add_common(p, budget=True)

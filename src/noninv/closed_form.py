@@ -9,7 +9,9 @@ and the test suite asserts exact agreement between the paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
@@ -31,6 +33,7 @@ __all__ = [
     "closed_multinomial_power_sum",
     "stirling_identity_sum",
     "power_sum_stirling_form",
+    "stirling_power_sum",
 ]
 
 
@@ -220,3 +223,17 @@ def power_sum_stirling_form(n: int, q: int) -> int:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
     return closed_multinomial_power_sum(n, n, q)
 
+
+def stirling_power_sum(q: int) -> int:
+    """sum_{i=1..q} {q brace i} q(q-1)...(q-i+1), which is q^q.
+
+    The one Stirling sum (``_stirling_sum``) at m = 1 over the falling
+    factorials (q)_i, each formed as a direct product from (q)_(i-1):
+    x^q = sum_i {q brace i} x(x-1)...(x-i+1) (Graham, Knuth & Patashnik,
+    *Concrete Mathematics*, eq. 6.10) at x = q.  No (q)_i with i <= q
+    is zero, so every entry of the second-kind row q counts, where the
+    identity sum weighs all but {q brace 1} by a_i = (1)_i = 0.
+    """
+    if q < 1:
+        raise InvalidExponentError(f"q must be >= 1, got {q}")
+    return _stirling_sum(q, 1, accumulate(range(q, 0, -1), mul, initial=1))

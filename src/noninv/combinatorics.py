@@ -145,7 +145,11 @@ class StirlingTable:
         """One kind's rows, grown to row n through ``ensure``: a kind
         that lacks row n comes into use, so that ``ensure`` grows it."""
         rows = self._second if second else self._first
-        if n >= len(rows):
+        if n < len(rows):
+            # a held row: ensure sees only rows every kind in use holds,
+            # so the read builds no row of the other kind
+            n = min(n, self._rows)
+        else:
             if second:
                 self._grows_second = True
             else:

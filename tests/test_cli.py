@@ -11,6 +11,7 @@ from noninv import (
     BoundReport,
     ChainSpec,
     FiniteFunction,
+    StirlingTable,
     VerificationReport,
     check_square_moment_identity,
     compare_bounds,
@@ -19,7 +20,7 @@ from noninv import (
     montecarlo,
     stirling1_signed,
 )
-from noninv import cli, oracle
+from noninv import cli, combinatorics, oracle
 from noninv.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,7 +309,24 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "corollary", "--qmax", "30")
         assert code == 0
         assert out.count("stirling-identity") == 30
+        assert out.count("stirling-power") == 30
         assert "match=false" not in out
+
+    def test_corollary_reads_every_entry_of_row_q(self, capsys, monkeypatch):
+        # {20 brace 5} + 1 in the shared table: the identity weighs it by
+        # a_5 = 0 and the power-sum form (q <= 6) never reads row 20, so
+        # only the stirling-power check at q = 20 fails
+        table = StirlingTable(30)
+        row = list(table.second_row(20))
+        row[5] += 1
+        table._second[20] = tuple(row)
+        monkeypatch.setattr(combinatorics, "_SHARED", table)
+        code, out, _ = invoke(capsys, "verify", "corollary", "--qmax", "30",
+                              "--json")
+        assert code == 1
+        failed = [(r["check"], r["parameters"])
+                  for r in json.loads(out)["results"] if not r["match"]]
+        assert failed == [("stirling-power", {"q": 20})]
 
 
 class TestStirling:
@@ -355,6 +373,34 @@ class TestStirling:
         ]
 
 
+class TestClosedFormGoldens:
+    """stdout of closed-form calls, recorded before the closed forms
+    shared one Stirling sum: every byte must stay the same."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("expected_q_1000_1000_400.json",
+         ("expected-q", "--n", "1000", "--m", "1000", "--q", "400")),
+        ("verify_degq_6_6.json", ("verify", "degq", "--n", "6", "--m", "6")),
+        ("stirling_transform_1_40.json",
+         ("stirling", "--transform", ",".join(map(str, range(1, 41))))),
+    ])
+    def test_golden_bytes(self, capsys, name, argv):
+        code, out, err = invoke(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
+    def test_corollary_golden_bytes(self, capsys):
+        # recorded before the stirling-power check, which is left out
+        code, out, err = invoke(capsys, "verify", "corollary", "--qmax", "30",
+                                "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        doc["results"] = [r for r in doc["results"]
+                          if r["check"] != "stirling-power"]
+        assert json.dumps(doc, indent=2) + "\n" == (
+            GOLDEN / "verify_corollary_30.json").read_text()
+
+
 class TestClosedFormCaps:
     """Closed-form commands past their caps exit 2 before any Stirling
     row is built (``refuse_growth``) or any sum is taken."""
@@ -387,28 +433,32 @@ class TestClosedFormCaps:
 
     def test_corollary_past_budget(self, capsys, refuse_growth):
         err = self.refused(capsys, "verify", "corollary", "--qmax", "3000")
-        assert "needs 4501500" in err and "budget is 1000000" in err
+        assert "needs 9003000" in err and "budget is 1000000" in err
 
     def test_corollary_counts_stirling_products(self, capsys):
-        # sum_{q<=5} q = 15 products
+        # two sums of q products at each q: sum_{q<=5} 2q = 30 products
         code, _, _ = invoke(capsys, "verify", "corollary", "--qmax", "5",
-                            "--nmax", "0", "--budget", "15")
+                            "--nmax", "0", "--budget", "30")
         assert code == 0
         err = self.refused(capsys, "verify", "corollary", "--qmax", "5",
-                           "--nmax", "0", "--budget", "14")
-        assert "needs 15" in err
+                           "--nmax", "0", "--budget", "29")
+        assert "needs 30" in err
 
     def test_corollary_at_row_cap_within_budget(self, capsys, deadline):
-        # 180,300 products under the default budget: the row cap, not
+        # 360,600 products under the default budget: the row cap, not
         # the budget, limits the sweep
         code, out, _ = invoke(capsys, "verify", "corollary", "--qmax", "600",
                               "--json")
         assert code == 0
         doc = json.loads(out)
         assert doc["all_match"] is True
-        identity = [r for r in doc["results"]
-                    if r["check"] == "stirling-identity"]
-        assert [r["parameters"]["q"] for r in identity] == list(range(1, 601))
+        for check in ("stirling-identity", "stirling-power"):
+            sweep = [r["parameters"]["q"] for r in doc["results"]
+                     if r["check"] == check]
+            assert sweep == list(range(1, 601)), check
+        # the power sweep comes after every earlier entry
+        checks = [r["check"] for r in doc["results"]]
+        assert checks[-600:] == ["stirling-power"] * 600
 
     def test_corollary_past_row_cap(self, capsys, refuse_growth):
         err = self.refused(capsys, "verify", "corollary", "--qmax", "601",
@@ -622,6 +672,9 @@ class TestMismatch:
         ("check_square_moment_identity", _failing_square_moment,
          ["verify", "en", "--m", "3", "--parts", "1,2"], "match=false"),
         ("stirling_identity_sum", lambda q: 2,
+         ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
+         "match=false"),
+        ("stirling_power_sum", lambda q: 0,
          ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
          "match=false"),
         ("compare_bounds", _failing_bounds,

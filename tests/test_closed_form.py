@@ -26,6 +26,7 @@ from noninv import (
     stirling1_unsigned,
     stirling2,
     stirling_identity_sum,
+    stirling_power_sum,
     stirling_transform,
 )
 from noninv.closed_form import _power_sum_kernel
@@ -233,24 +234,26 @@ class TestClosedMultinomialPowerSum:
         assert closed_multinomial_power_sum(2, 3, 6) == self.naive(2, 3, 6)
 
 
-def k_then_j(second, first):
-    """sum_{k=0..q-1} (-1)^k sum_{j=1..q-k} second[k+j] first[k+j][j],
-    the paper's order, for any row ``second`` of length q + 1 and any
-    triangle ``first`` whose row i has length i + 1."""
+def k_then_j(second, first, x):
+    """sum_{k=0..q-1} (-1)^k sum_{j=1..q-k} second[k+j] first[k+j][j]
+    x^(q-k-1), the paper's order, for any row ``second`` of length
+    q + 1 and any triangle ``first`` whose row i has length i + 1.
+    x = 1 is the identity sum, x = n the corollary's power-sum form."""
     q = len(second) - 1
     return sum(
         (-1) ** k * sum(second[k + j] * first[k + j][j]
-                        for j in range(1, q - k + 1))
+                        for j in range(1, q - k + 1)) * x ** (q - k - 1)
         for k in range(q)
     )
 
 
-def i_then_j(second, first):
+def i_then_j(second, first, x):
     """The same terms summed over i = k + j first:
-    sum_{i=1..q} second[i] sum_{j=1..i} (-1)^(i-j) first[i][j]."""
+    sum_{i=1..q} second[i] sum_{j=1..i} (-1)^(i-j) first[i][j]
+    x^(q-i+j-1), the order of the E[deg(f, q)] kernel at m = n = x."""
     q = len(second) - 1
     return sum(
-        second[i] * sum((-1) ** (i - j) * first[i][j]
+        second[i] * sum((-1) ** (i - j) * first[i][j] * x ** (q - i + j - 1)
                         for j in range(1, i + 1))
         for i in range(1, q + 1)
     )
@@ -268,8 +271,9 @@ class TestStirlingIdentitySum:
             stirling_identity_sum(q) for q in range(1, MAX_STIRLING_ROWS + 1)
         ]
 
-    @given(data=st.data(), q=st.integers(1, 8))
-    def test_reindexing_holds_for_any_rows(self, data, q):
+    @given(data=st.data(), q=st.integers(1, 8),
+           x=st.integers(-10**6, 10**6))
+    def test_reindexing_holds_for_any_rows(self, data, q, x):
         # plain algebra: no property of Stirling numbers is used
         entries = st.integers(-10**30, 10**30)
         second = data.draw(st.lists(entries, min_size=q + 1, max_size=q + 1))
@@ -277,7 +281,7 @@ class TestStirlingIdentitySum:
             data.draw(st.lists(entries, min_size=i + 1, max_size=i + 1))
             for i in range(q + 1)
         ]
-        assert k_then_j(second, first) == i_then_j(second, first)
+        assert k_then_j(second, first, x) == i_then_j(second, first, x)
 
     def test_guard(self):
         with pytest.raises(InvalidExponentError):
@@ -392,6 +396,23 @@ class TestStirlingInnerSums:
                 ) == per_entry_power_sum_form(n, q), (n, q)
 
 
+class TestStirlingPowerSum:
+    def test_is_q_to_the_q(self):
+        for q in range(1, 121):
+            assert stirling_power_sum(q) == q**q, q
+
+    def test_matches_per_entry_loop(self):
+        # perm(q, i) = q(q-1)...(q-i+1), from math, not the package
+        for q in range(1, 61):
+            assert stirling_power_sum(q) == sum(
+                stirling2(q, i) * perm(q, i) for i in range(1, q + 1)
+            ), q
+
+    def test_guard(self):
+        with pytest.raises(InvalidExponentError):
+            stirling_power_sum(0)
+
+
 class TestStirlingRowCap:
     """Closed forms past the Stirling row cap are refused before any row
     is built; ``refuse_growth`` makes building a row fail the test."""
@@ -407,3 +428,7 @@ class TestStirlingRowCap:
     def test_power_sum_form(self, refuse_growth):
         with pytest.raises(BudgetExceededError, match="cap of"):
             power_sum_stirling_form(2, MAX_STIRLING_ROWS + 1)
+
+    def test_power_sum(self, refuse_growth):
+        with pytest.raises(BudgetExceededError, match="cap of"):
+            stirling_power_sum(MAX_STIRLING_ROWS + 1)

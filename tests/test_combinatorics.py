@@ -290,6 +290,22 @@ class TestStirlingTable:
         assert [table.first_row(n) for n in range(41)] == first
         assert [table.second_row(n) for n in range(41)] == second
 
+    def test_read_of_a_held_row_builds_no_row_of_the_other_kind(self):
+        # first-kind row 20 is held past the rows both kinds hold (9):
+        # its read goes through one ensure, which builds nothing
+        second, first = entry_recurrence_rows(30)
+        table = StirlingTable()
+        table.first_rows(30)
+        table.second_row(9)
+        calls = []
+        ensure = table.ensure
+        table.ensure = lambda n: (calls.append((n, table.max_n)), ensure(n))
+        assert table.first_row(20) == first[20]
+        assert table.first_rows(25) == first[:26]
+        assert table.second_row(9) == second[9]
+        assert (len(table._second), len(table._first)) == (10, 31)
+        assert len(calls) == 3 and all(n <= held for n, held in calls)
+
     def test_ensure_grows_both_kinds_before_any_read(self):
         table = StirlingTable()
         table.ensure(6)
