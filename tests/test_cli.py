@@ -674,9 +674,6 @@ class TestMismatch:
         ("stirling_identity_sum", lambda q: 2,
          ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
          "match=false"),
-        ("stirling_power_sum", lambda q: 0,
-         ["verify", "corollary", "--qmax", "3", "--nmax", "1"],
-         "match=false"),
         ("compare_bounds", _failing_bounds,
          ["bounds", "OUTER", "INNER"], "new_holds=false"),
     ]

@@ -397,16 +397,12 @@ class TestStirlingInnerSums:
 
 
 class TestStirlingPowerSum:
-    def test_is_q_to_the_q(self):
-        for q in range(1, 121):
-            assert stirling_power_sum(q) == q**q, q
-
-    def test_matches_per_entry_loop(self):
+    def test_matches_per_entry_loop_and_q_to_the_q(self):
         # perm(q, i) = q(q-1)...(q-i+1), from math, not the package
         for q in range(1, 61):
             assert stirling_power_sum(q) == sum(
                 stirling2(q, i) * perm(q, i) for i in range(1, q + 1)
-            ), q
+            ) == q**q, q
 
     def test_guard(self):
         with pytest.raises(InvalidExponentError):

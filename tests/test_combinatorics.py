@@ -426,13 +426,6 @@ class TestStirlingSum:
             stirling2(q, i) * m ** (q - i) * w[i] for i in range(q + 1)
         )
 
-    def test_reads_weights_lazily(self):
-        weights = iter(range(100))
-        assert _stirling_sum(4, 3, weights) == sum(
-            stirling2(4, i) * 3 ** (4 - i) * i for i in range(5)
-        )
-        assert next(weights) == 5
-
     def test_refused_past_row_cap(self, refuse_growth):
         with pytest.raises(BudgetExceededError):
             _stirling_sum(MAX_STIRLING_ROWS + 1, 2, [])
