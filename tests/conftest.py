@@ -1,10 +1,19 @@
 """Fixtures shared by several test modules."""
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noninv
 from noninv import combinatorics
+
+# the address space a capped CLI run may map: a Python process and any
+# honest command fit easily, a list of 10^9 counts (8 GB) does not
+CAPPED_BYTES = 1 << 30
 
 
 @pytest.fixture
@@ -34,3 +43,33 @@ def deadline():
     yield
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def capped_cli():
+    """Run one ``noninv`` call in a child process whose address space is
+    capped at ``CAPPED_BYTES``; returns (exit code, stdout, stderr).
+
+    The limit is set in the child only, so a call that would exhaust
+    memory fails fast there with a MemoryError (exit 1) instead of
+    taking the host's memory.  Needs ``resource``, so the test is
+    skipped without it."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(noninv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CAPPED_BYTES, CAPPED_BYTES))
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "noninv.cli", *map(str, argv)],
+            env=env, preexec_fn=cap, capture_output=True, text=True,
+            timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    return run

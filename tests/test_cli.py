@@ -401,6 +401,66 @@ class TestClosedFormGoldens:
             GOLDEN / "verify_corollary_30.json").read_text()
 
 
+class TestFiberGoldens:
+    """stdout of the commands that count fibers, recorded before every
+    fiber statistic was read from one histogram: every byte must stay
+    the same."""
+
+    # labels fewer than, as many as and more than the points
+    FILES = {
+        "dense.fn": "8 5 : 1 1 2 3 3 3 5 5\n",
+        "wide.fn": "5 8 : 1 1 2 8 8\n",
+        "sparse.fn": "3 1000 : 7 7 999\n",
+        "small.fn": "4 3 : 1 2 2 3\n",
+        "endo.json": '{"domain": 5, "codomain": 5, "images": [0, 2, 2, 4, 0]}',
+    }
+    CALLS = [
+        ("deg", "--file", "dense.fn"),
+        ("deg", "--file", "dense.fn", "--q", "3", "--decimals", "30"),
+        ("deg", "--file", "wide.fn", "--q", "3"),
+        ("deg", "--file", "sparse.fn"),
+        ("deg", "--file", "sparse.fn", "--q", "3", "--decimals", "30"),
+        ("deg", "--file", "endo.json", "--decimals", "30"),
+        ("bounds", "endo.json", "endo.json"),
+        ("bounds", "wide.fn", "dense.fn"),
+        ("bounds", "dense.fn", "wide.fn"),
+        ("bounds", "sparse.fn", "small.fn"),
+    ]
+
+    def test_function_file_golden_bytes(self, capsys, tmp_path):
+        # each call's text stdout, then its --json stdout with the file
+        # paths left out of the parameters
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        transcript = []
+        for argv in self.CALLS:
+            located = [str(tmp_path / a) if a in self.FILES else a
+                       for a in argv]
+            code, text, err = invoke(capsys, *located)
+            assert (code, err) == (0, "")
+            code, out, err = invoke(capsys, *located, "--json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            for key in ("file", "outer", "inner"):
+                doc["parameters"].pop(key, None)
+            transcript.append("$ noninv " + " ".join(argv) + "\n" + text
+                              + json.dumps(doc, indent=2) + "\n")
+        assert "".join(transcript) == (
+            GOLDEN / "function_files.txt").read_text()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("verify_chain_3x5.txt", ("verify", "chain", "--sizes", "3,3,3,3,3")),
+        ("verify_chain_3x5.json",
+         ("verify", "chain", "--sizes", "3,3,3,3,3", "--json")),
+        ("bounds_exhaustive_4.json",
+         ("bounds", "--exhaustive", "--n", "4", "--json")),
+    ])
+    def test_golden_bytes(self, capsys, name, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
+
 class TestClosedFormCaps:
     """Closed-form commands past their caps exit 2 before any Stirling
     row is built (``refuse_growth``) or any sum is taken."""
