@@ -17,7 +17,9 @@ from typing import Sequence
 
 from ._frozen import Frozen
 from .errors import SizeMismatchError
-from .functions import FiniteFunction, _square_sum, compose, fiber_sizes
+from .functions import (
+    FiniteFunction, _block_sums, _square_sum, compose, fiber_sizes
+)
 
 __all__ = [
     "BoundReport",
@@ -80,10 +82,9 @@ def _bounds_hold(
 
 
 def _build_report(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
-    f_fibers = f.fiber_sizes()
-    s_comp = _square_sum(compose(f, g).fiber_sizes())
-    s_outer, m_outer = _square_sum(f_fibers), max(f_fibers)
-    s_inner = _square_sum(g.fiber_sizes())
+    s_comp = compose(f, g)._power_sum(2)
+    s_outer, m_outer = f._power_sum(2), f.max_fiber()
+    s_inner = g._power_sum(2)
     n = g.domain_size
     deg_g = Fraction(s_inner, n)
     new_bound = m_outer * deg_g
@@ -137,9 +138,8 @@ def check_composition_bound(
 def check_max_fiber_degree_bound(f: FiniteFunction) -> bool:
     """Whether max_fiber(f)^2 <= |X| * deg(f); true for every f."""
     mf = f.max_fiber()
-    # deg(f) as degree_q(2), read from the fiber-size histogram that
-    # max_fiber has just built, rather than a second pass over the fibers
-    return Fraction(mf * mf) <= f.domain_size * f.degree_q(2)
+    # |X| deg(f) is the sum of the squared fiber sizes
+    return mf * mf <= f._power_sum(2)
 
 
 def compare_bounds(f: FiniteFunction, g: FiniteFunction) -> BoundReport:
@@ -174,7 +174,7 @@ def sweep_endofunction_pairs(
         S_fg = sum over B in ker f of (sum over y in B of |g^-1(y)|)^2,
 
     while S_f and M_f are the squares and the largest of the block
-    sizes of ker f, and S_g is read from g's fiber vector.  Every
+    sizes of ker f, and S_g is read from g's fibers.  Every
     statistic ``_bounds_hold`` needs is therefore a function of
     (ker f, fiber vector of g).  The functions are counted by kernel
     (images relabelled by first appearance) and by fiber vector, each
@@ -182,7 +182,8 @@ def sweep_endofunction_pairs(
     times: at n = 4 that is 15 * 35 checks for 65,536 pairs.
     """
     kernels: Counter[tuple[int, ...]] = Counter()
-    fiber_vectors: Counter[tuple[int, ...]] = Counter()
+    # fiber vector -> [count, first function with it]
+    fiber_vectors: dict[tuple[int, ...], list] = {}
     for f in functions:
         if not f.domain_size == f.codomain_size == functions[0].domain_size:
             raise SizeMismatchError(
@@ -190,21 +191,19 @@ def sweep_endofunction_pairs(
                 f"({f.domain_size}->{f.codomain_size})"
             )
         kernels[_kernel(f.images)] += 1
-        fiber_vectors[f.fiber_sizes()] += 1
+        fiber_vectors.setdefault(f.fiber_sizes(), [0, f])[0] += 1
     inner = [
-        (fibers, _square_sum(fibers), count)
-        for fibers, count in fiber_vectors.items()
+        (fibers, g._power_sum(2), count)
+        for fibers, (count, g) in fiber_vectors.items()
     ]
     pairs = new_violations = chain_violations = 0
     for kernel, f_count in kernels.items():
         blocks = fiber_sizes(kernel, max(kernel) + 1)
         s_outer, m_outer = _square_sum(blocks), max(blocks)
         for g_fibers, s_inner, g_count in inner:
-            counts = [0] * len(blocks)
-            for label, c in zip(kernel, g_fibers):
-                counts[label] += c
+            s_comp = _square_sum(_block_sums(kernel, g_fibers, len(blocks)))
             new_holds, chain_holds = _bounds_hold(
-                _square_sum(counts), s_outer, m_outer, s_inner
+                s_comp, s_outer, m_outer, s_inner
             )
             weight = f_count * g_count
             pairs += weight

@@ -59,6 +59,18 @@ def _square_sum(values: Collection[int]) -> int:
     return sum(map(mul, values, values))
 
 
+def _block_sums(
+    labels: Iterable[int], weights: Iterable[int], blocks: int
+) -> list[int]:
+    """Total weight of each block 0..blocks-1, where ``labels[i]`` names
+    the block of weight ``weights[i]``; sorted ascending."""
+    sums = [0] * blocks
+    for label, weight in zip(labels, weights):
+        sums[label] += weight
+    sums.sort()
+    return sums
+
+
 class FiniteFunction(Frozen):
     """An explicit function between two finite nonempty indexed sets.
 
@@ -68,14 +80,14 @@ class FiniteFunction(Frozen):
     ``int`` (not a bool or a float) in [0, codomain_size).  The file
     parsers and ``compose`` check their images themselves and skip the
     constructor's checks.  The fibers are counted once, on first use,
-    and kept with a histogram of their sizes: ``degree`` reads the
-    fibers, ``degree_q`` and ``max_fiber`` the histogram.
+    into a histogram of their sizes, which ``degree``, ``degree_q`` and
+    ``max_fiber`` read; ``fiber_sizes`` counts them again on each call.
     """
 
     _fields = ("domain_size", "codomain_size", "images")
-    # _fibers and _histogram are set on first use; not fields, so they
-    # take no part in ==, hash, repr or pickling
-    __slots__ = _fields + ("_fibers", "_histogram")
+    # _histogram is set on first use; not a field, so it takes no part
+    # in ==, hash, repr or pickling
+    __slots__ = _fields + ("_histogram",)
 
     def __init__(
         self, domain_size: int, codomain_size: int, images: Iterable[int]
@@ -111,7 +123,6 @@ class FiniteFunction(Frozen):
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "codomain_size", codomain_size)
         object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_fibers", None)
         object.__setattr__(self, "_histogram", None)
 
     def __call__(self, x: int) -> int:
@@ -121,23 +132,25 @@ class FiniteFunction(Frozen):
 
     def fiber_sizes(self) -> tuple[int, ...]:
         """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|."""
-        fibers = self._fibers
-        if fibers is None:
-            fibers = tuple(fiber_sizes(self.images, self.codomain_size))
-            object.__setattr__(self, "_fibers", fibers)
-        return fibers
+        return tuple(fiber_sizes(self.images, self.codomain_size))
 
     def _fiber_histogram(self) -> Counter[int]:
         """How many fibers have each size (empty fibers under 0)."""
         histogram = self._histogram
         if histogram is None:
-            histogram = Counter(self.fiber_sizes())
+            histogram = Counter(fiber_sizes(self.images, self.codomain_size))
             object.__setattr__(self, "_histogram", histogram)
         return histogram
 
+    def _power_sum(self, q: int) -> int:
+        """sum_y |f^-1(y)|^q, with one power per distinct fiber size: a
+        million two-point fibers at a large q form a single power."""
+        return sum(count * size**q
+                   for size, count in self._fiber_histogram().items())
+
     def degree(self) -> Fraction:
         """deg(f) = (1/|X|) * sum_y |f^-1(y)|^2, as a reduced rational."""
-        return Fraction(_square_sum(self.fiber_sizes()), self.domain_size)
+        return Fraction(self._power_sum(2), self.domain_size)
 
     def degree_q(self, q: int) -> Fraction:
         """Generalized degree (1/|X|) * sum_y |f^-1(y)|^q for q >= 1.
@@ -149,13 +162,7 @@ class FiniteFunction(Frozen):
         """
         if q < 1:
             raise InvalidExponentError(f"exponent must be >= 1, got {q}")
-        # one power per distinct fiber size: a million two-point fibers
-        # at a large q form a single power, not a million
-        return Fraction(
-            sum(count * size**q
-                for size, count in self._fiber_histogram().items()),
-            self.domain_size,
-        )
+        return Fraction(self._power_sum(q), self.domain_size)
 
     def max_fiber(self) -> int:
         """Largest fiber size; at least ceil(|X| / |Y|)."""

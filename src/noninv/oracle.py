@@ -31,7 +31,7 @@ from ._frozen import Frozen
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
 from .errors import BudgetExceededError, InvalidExponentError, InvalidSizeError
-from .functions import FiniteFunction, _square_sum
+from .functions import FiniteFunction, _block_sums, _square_sum
 
 __all__ = [
     "EnumerationBudget",
@@ -329,15 +329,15 @@ def _budgeted_profiles(
 def _fiber_profiles(
     sizes: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(sorted fiber sizes, number of tuples) of f_t o ... o f_1 over all
-    function tuples on the chain ``sizes`` = (n_1, ..., n_{t+1}).
+    """(sorted nonzero fiber sizes, number of tuples) of f_t o ... o f_1
+    over all function tuples on the chain ``sizes`` = (n_1, ..., n_{t+1}).
 
     Steps level by level from the identity of X_1, counting the tuples
     that reach each sorted fiber profile of g: X_1 -> X_{s+1}.  Exact:
     for bijections pi of X_{s+1} and sigma of X_1, g and pi o g o sigma
     reach the same profiles (f -> f o pi permutes the next level), and
     f o g depends on f only on the image of g, so a profile with b
-    nonzero fibers needs only the maps on those b points, each standing
+    fibers needs only the maps on those b points, each standing
     for cod^(dom - b) maps f.  The profile of f o g depends on such a
     map only through the partition of the b points into its nonempty
     fibers: relabelling the codomain permutes the fibers.  So each set
@@ -352,18 +352,14 @@ def _fiber_profiles(
         reached: dict[tuple[int, ...], int] = {}
         get = reached.get
         for profile, tuples in profiles.items():
-            blocks = profile[profile.count(0):]
             # weights[k]: tuples * cod^(dom - b) * perm(cod, k)
-            weights = [tuples * cod ** (dom - len(blocks))]
-            for k in range(min(cod, len(blocks))):
+            weights = [tuples * cod ** (dom - len(profile))]
+            for k in range(min(cod, len(profile))):
                 weights.append(weights[-1] * (cod - k))
-            for labels in _set_partitions(len(blocks), cod):
-                counts = [0] * cod
-                for y, c in zip(labels, blocks):
-                    counts[y] += c
-                counts.sort()
-                key = tuple(counts)
-                reached[key] = get(key, 0) + weights[max(labels) + 1]
+            for labels in _set_partitions(len(profile), cod):
+                blocks = max(labels) + 1
+                key = tuple(_block_sums(labels, profile, blocks))
+                reached[key] = get(key, 0) + weights[blocks]
         profiles = reached
     return tuple(profiles.items())
 

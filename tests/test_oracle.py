@@ -134,8 +134,9 @@ class TestBruteChain:
 
 
 def reference_fiber_profiles(sizes):
-    """Histogram of the sorted fiber sizes of f_t o ... o f_1 over every
-    function tuple on the chain, composing each tuple in full."""
+    """Histogram of the sorted nonzero fiber sizes of f_t o ... o f_1
+    over every function tuple on the chain, composing each tuple in
+    full."""
     histogram = Counter()
     levels = [
         product(range(cod), repeat=dom) for dom, cod in zip(sizes, sizes[1:])
@@ -147,7 +148,7 @@ def reference_fiber_profiles(sizes):
         fibers = [0] * sizes[-1]
         for y in g:
             fibers[y] += 1
-        histogram[tuple(sorted(fibers))] += 1
+        histogram[tuple(sorted(c for c in fibers if c))] += 1
     return histogram
 
 
