@@ -135,10 +135,20 @@ class FiniteFunction(Frozen):
         return tuple(fiber_sizes(self.images, self.codomain_size))
 
     def _fiber_histogram(self) -> Counter[int]:
-        """How many fibers have each size (empty fibers under 0)."""
+        """How many fibers have each size (empty fibers under 0).
+
+        Counted densely when there are no more labels than points, and
+        by image otherwise, so the memory is bounded by |X| for any |Y|.
+        """
         histogram = self._histogram
         if histogram is None:
-            histogram = Counter(fiber_sizes(self.images, self.codomain_size))
+            m = self.codomain_size
+            if m <= self.domain_size:
+                histogram = Counter(fiber_sizes(self.images, m))
+            else:
+                by_image = Counter(self.images)
+                histogram = Counter(by_image.values())
+                histogram[0] = m - len(by_image)
             object.__setattr__(self, "_histogram", histogram)
         return histogram
 

@@ -461,6 +461,34 @@ class TestFiberGoldens:
         assert out == (GOLDEN / name).read_text()
 
 
+class TestHugeCodomain:
+    """Files with 10^9 labels and one or two points: the fibers are
+    counted in memory bounded by the points, so the calls succeed in a
+    child capped at about 1 GiB (``capped_cli``)."""
+
+    def test_deg(self, capped_cli, tmp_path):
+        path = tmp_path / "f.fn"
+        path.write_text("1 1000000000 : 1\n")
+        code, out, err = capped_cli("deg", "--file", path, "--json")
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out)["results"]
+        assert result["degree"] == {
+            "numerator": 1, "denominator": 1, "decimal": None
+        }
+        assert result["max_fiber"] == 1
+
+    def test_bounds(self, capped_cli, tmp_path):
+        outer, inner = tmp_path / "f.fn", tmp_path / "g.fn"
+        outer.write_text("2 1000000000 : 1 2\n")
+        inner.write_text("2 2 : 1 2\n")
+        code, out, err = capped_cli("bounds", outer, inner)
+        assert (code, err) == (0, "")
+        assert out == (
+            "bound deg_composition=1 new_bound=1 new_bound_sq=1 "
+            "old_bound_sq=2 new_holds=true chain_holds=true\n"
+        )
+
+
 class TestClosedFormCaps:
     """Closed-form commands past their caps exit 2 before any Stirling
     row is built (``refuse_growth``) or any sum is taken."""

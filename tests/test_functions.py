@@ -166,6 +166,19 @@ class TestFiberCache:
             del f._histogram
         assert f.max_fiber() == 3
 
+    @pytest.mark.parametrize("n,m,images,histogram", [
+        # more labels than points: counted by image
+        (3, 10, [7, 7, 2], {2: 1, 1: 1, 0: 8}),
+        (1, 2, [1], {1: 1, 0: 1}),
+        # as many labels as points, and fewer: counted densely
+        (3, 3, [2, 2, 2], {3: 1, 0: 2}),
+        (4, 2, [0, 1, 1, 0], {2: 2}),
+    ])
+    def test_histogram_counts_empty_fibers(self, n, m, images, histogram):
+        f = make_function(n, m, images)
+        assert f._fiber_histogram() == histogram
+        assert sum(f._histogram.values()) == m
+
     @pytest.mark.parametrize("images", [
         [float("nan")], [False], [True],
     ])
