@@ -52,6 +52,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     EnumerationBudget,
     VerificationReport,
+    _check_power_sum_budget,
     brute_expected_degree_chain,
     brute_expected_degree_q,
     check_square_moment_identity,
@@ -318,6 +319,10 @@ def _cmd_verify_corollary(args) -> _Output:
     budget.check(qmax * (qmax + 1),
                  f"Stirling identity and power sweeps to q={qmax}")
     check_stirling_rows(qmax)
+    # the weak compositions of n into n parts grow with n, so the
+    # power-sum sweep fits the budget iff its last n does
+    if args.nmax:
+        _check_power_sum_budget(args.nmax, args.nmax, budget)
     checks = _Checks()
     for q in range(1, qmax + 1):
         checks.compare("stirling-identity", {"q": q},

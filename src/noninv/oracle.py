@@ -501,6 +501,17 @@ def brute_expected_degree_q(
     return Fraction(total, n * m**n)
 
 
+def _check_power_sum_budget(
+    n: int, m: int, budget: EnumerationBudget
+) -> None:
+    """Refuse ``multinomial_power_sum(n, m, q, budget)`` for every q:
+    the weak compositions of n into m parts exceed the budget."""
+    budget.check(
+        _count_weak_compositions(n, m, budget._ceiling),
+        f"weak compositions of {n} into {m} parts",
+    )
+
+
 def multinomial_power_sum(
     n: int, m: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> int:
@@ -518,10 +529,7 @@ def multinomial_power_sum(
         raise InvalidSizeError(f"parameters must be >= 1, got ({n}, {m})")
     if q < 0:
         raise InvalidExponentError(f"exponent must be >= 0, got {q}")
-    budget.check(
-        _count_weak_compositions(n, m, budget._ceiling),
-        f"weak compositions of {n} into {m} parts",
-    )
+    _check_power_sum_budget(n, m, budget)
     zero = 0**q
     return _symmetric_composition_sum(
         n, m, lambda lam: sum(p**q for p in lam) + (m - len(lam)) * zero

@@ -532,6 +532,29 @@ class TestClosedFormCaps:
                            "--nmax", "0", "--budget", "29")
         assert "needs 30" in err
 
+    @pytest.mark.parametrize("argv, needs", [
+        # weak compositions of 12 into 12 parts: comb(23, 11)
+        (("--qmax", "600", "--nmax", "12"),
+         "weak compositions of 12 into 12 parts needs 1352078 enumerated "
+         "objects, budget is 1000000"),
+        (("--qmax", "1", "--nmax", "3", "--budget", "9"),
+         "weak compositions of 3 into 3 parts needs 10 enumerated "
+         "objects, budget is 9"),
+    ])
+    def test_corollary_power_sums_refused_before_any_sweep(
+        self, capsys, monkeypatch, argv, needs
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "stirling_identity_sum", calls.append)
+        err = self.refused(capsys, "verify", "corollary", *argv)
+        assert err == f"error: {needs}\n" and calls == []
+
+    def test_corollary_power_sums_at_budget(self, capsys):
+        # comb(5, 2) = 10 weak compositions of 3 into 3 parts
+        code, out, _ = invoke(capsys, "verify", "corollary", "--qmax", "1",
+                              "--nmax", "3", "--budget", "10")
+        assert code == 0 and out.count("check=power-sum-form") == 3
+
     def test_corollary_at_row_cap_within_budget(self, capsys, deadline):
         # 360,600 products under the default budget: the row cap, not
         # the budget, limits the sweep
