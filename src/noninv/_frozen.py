@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["Frozen"]
+from collections.abc import Mapping
+
+__all__ = ["Frozen", "FrozenMapping"]
 
 
 class Frozen:
@@ -46,3 +48,34 @@ class Frozen:
         # rebuild through __init__: the default reduction would restore
         # the slots through __setattr__, which refuses
         return self.__class__, self._values()
+
+
+class FrozenMapping(Mapping):
+    """A read-only copy of a mapping, for a field of a ``Frozen`` record.
+
+    It prints as a dict, equals any mapping with the same items and
+    hashes as the frozenset of its items, so a record holding it stays
+    hashable."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Mapping):
+        object.__setattr__(self, "_items", dict(items))
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __repr__(self):
+        return repr(self._items)
+
+    def __hash__(self):
+        return hash(frozenset(self._items.items()))
+
+    def __reduce__(self):
+        return self.__class__, (self._items,)

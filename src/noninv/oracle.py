@@ -27,7 +27,7 @@ from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 )
 
-from ._frozen import Frozen
+from ._frozen import Frozen, FrozenMapping
 from .closed_form import ChainSpec
 from .combinatorics import multinomial
 from .errors import BudgetExceededError, InvalidExponentError, InvalidSizeError
@@ -133,7 +133,10 @@ def _count_weak_compositions(
 
 
 class VerificationReport(Frozen):
-    """Paired (oracle value, closed-form value) for one parameter point."""
+    """Paired (oracle value, closed-form value) for one parameter point.
+
+    ``parameters`` is kept as a read-only copy (``FrozenMapping``), so
+    a report is hashable."""
 
     __slots__ = _fields = (
         "parameters", "oracle_value", "closed_value", "match"
@@ -146,7 +149,7 @@ class VerificationReport(Frozen):
         closed_value: Fraction,
         match: bool,
     ):
-        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "parameters", FrozenMapping(parameters))
         object.__setattr__(self, "oracle_value", oracle_value)
         object.__setattr__(self, "closed_value", closed_value)
         object.__setattr__(self, "match", match)
@@ -160,7 +163,7 @@ class VerificationReport(Frozen):
         oracle = Fraction(oracle_value)
         closed = Fraction(closed_value)
         return VerificationReport(
-            parameters=dict(parameters),
+            parameters=parameters,
             oracle_value=oracle,
             closed_value=closed,
             match=oracle == closed,

@@ -85,9 +85,9 @@ def test_value_object_contract(cls, values, kwargs, text):
 
     assert first == second and not first != second
     if cls is VerificationReport:
-        # a dict field: unhashable, as the field tuple is
-        with pytest.raises(TypeError):
-            hash(first)
+        # the dict field is stored read-only, and hashes as its items;
+        # the field tuple holds a dict, so it has no hash
+        assert hash(first) == hash(second)
     else:
         assert hash(first) == hash(second) == hash(values)
     assert first != values and values != first
@@ -118,3 +118,17 @@ def test_value_object_contract(cls, values, kwargs, text):
 def test_value_object_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_verification_parameters_are_read_only():
+    params = {"n": 2}
+    report = VerificationReport(params, Fraction(1), Fraction(1), True)
+    params["n"] = 3
+    assert report.parameters == {"n": 2}
+    with pytest.raises(TypeError):
+        report.parameters["n"] = 5
+    with pytest.raises(AttributeError):
+        report.parameters.update(n=5)
+    assert hash(report) == hash(
+        VerificationReport({"n": 2}, Fraction(1), Fraction(1), True)
+    )
