@@ -340,8 +340,8 @@ def _fiber_profiles(
     for bijections pi of X_{s+1} and sigma of X_1, g and pi o g o sigma
     reach the same profiles (f -> f o pi permutes the next level), and
     f o g depends on f only on the image of g, so a profile with b
-    fibers needs only the maps on those b points, each standing
-    for cod^(dom - b) maps f.  The profile of f o g depends on such a
+    fibers needs only the maps on those b points, each standing for
+    cod^(dom - b) maps f.  The profile of f o g depends on such a
     map only through the partition of the b points into its nonempty
     fibers: relabelling the codomain permutes the fibers.  So each set
     partition with k <= cod blocks (``_set_partitions``) stands for the
@@ -507,7 +507,7 @@ def brute_expected_degree_q(
 def _check_power_sum_budget(
     n: int, m: int, budget: EnumerationBudget
 ) -> None:
-    """Refuse ``multinomial_power_sum(n, m, q, budget)`` for every q:
+    """Refuse ``multinomial_power_sum(n, m, q, budget)``, at any q, when
     the weak compositions of n into m parts exceed the budget."""
     budget.check(
         _count_weak_compositions(n, m, budget._ceiling),
