@@ -488,6 +488,15 @@ class TestHugeCodomain:
             "old_bound_sq=2 new_holds=true chain_holds=true\n"
         )
 
+    def test_enumeration_profiles(self, capped_cli):
+        # a fiber profile holds the nonzero fibers only, not m counts
+        code, out, err = capped_cli(
+            "verify", "degq", "--n", "1", "--m", "1000000000", "--qmax", "1",
+            "--budget", "1000000000",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("match=true") == 2
+
 
 class TestClosedFormCaps:
     """Closed-form commands past their caps exit 2 before any Stirling
