@@ -51,7 +51,8 @@ class Frozen:
 
 
 class FrozenMapping(Mapping):
-    """A read-only copy of a mapping, for a field of a ``Frozen`` record.
+    """A copy of a mapping, for a field of a ``Frozen`` record, read-only
+    through the ``Mapping`` interface (no item assignment or deletion).
 
     It prints as a dict, equals any mapping with the same items and
     hashes as the frozenset of its items, so a record holding it stays
@@ -60,7 +61,7 @@ class FrozenMapping(Mapping):
     __slots__ = ("_items",)
 
     def __init__(self, items: Mapping):
-        object.__setattr__(self, "_items", dict(items))
+        self._items = dict(items)
 
     def __getitem__(self, key):
         return self._items[key]

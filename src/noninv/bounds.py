@@ -174,7 +174,7 @@ def sweep_endofunction_pairs(
         S_fg = sum over B in ker f of (sum over y in B of |g^-1(y)|)^2,
 
     while S_f and M_f are the squares and the largest of the block
-    sizes of ker f, and S_g is read from g's fibers.  Every
+    sizes of ker f, and S_g is read from g's fiber vector.  Every
     statistic ``_bounds_hold`` needs is therefore a function of
     (ker f, fiber vector of g).  The functions are counted by kernel
     (images relabelled by first appearance) and by fiber vector, each
@@ -182,8 +182,7 @@ def sweep_endofunction_pairs(
     times: at n = 4 that is 15 * 35 checks for 65,536 pairs.
     """
     kernels: Counter[tuple[int, ...]] = Counter()
-    # fiber vector -> [count, first function with it]
-    fiber_vectors: dict[tuple[int, ...], list] = {}
+    fiber_vectors: Counter[tuple[int, ...]] = Counter()
     for f in functions:
         if not f.domain_size == f.codomain_size == functions[0].domain_size:
             raise SizeMismatchError(
@@ -191,10 +190,10 @@ def sweep_endofunction_pairs(
                 f"({f.domain_size}->{f.codomain_size})"
             )
         kernels[_kernel(f.images)] += 1
-        fiber_vectors.setdefault(f.fiber_sizes(), [0, f])[0] += 1
+        fiber_vectors[f.fiber_sizes()] += 1
     inner = [
-        (fibers, g._power_sum(2), count)
-        for fibers, (count, g) in fiber_vectors.items()
+        (fibers, _square_sum(fibers), count)
+        for fibers, count in fiber_vectors.items()
     ]
     pairs = new_violations = chain_violations = 0
     for kernel, f_count in kernels.items():

@@ -319,8 +319,9 @@ def _budgeted_profiles(
     visit, prod n_{s+1}^{n_s}, then the n_1 points of the start profile,
     which the walk holds (with lists of the same length) before it
     visits anything.  Only the second check refuses (10^8, 1), one
-    tuple of 10^8 points.  A later profile has n_{s+1} entries, at most
-    n_{s+1}^{n_s}, so the first check bounds it."""
+    tuple of 10^8 points.  A later profile holds only its nonzero fiber
+    sizes, at most min(n_1, ..., n_{s+1}) of them, so the first check
+    bounds it too."""
     budget.check_powers(
         [(cod, dom) for dom, cod in zip(sizes, sizes[1:])], what
     )
