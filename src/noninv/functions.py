@@ -71,6 +71,38 @@ def _block_sums(
     return sums
 
 
+def _size_histogram(sizes: Collection[int], labels: int) -> Counter[int]:
+    """How many of ``labels`` fibers have each size, given the sizes of
+    some of them; the ``labels - len(sizes)`` fibers not given are empty.
+
+    The sizes are packed into ``bytes``, and ``bytes.count`` counts
+    size 0, 1, ... until at most 1/64 of the given fibers is left; those
+    are counted one by one, so a few large fibers do not cost a pass
+    per size up to 255.  On 10^6 fibers of a random function (2-core
+    Xeon, Python 3.11) that took about 30 ms against 50-80 ms for
+    ``Counter(sizes)``, which remains only for a fiber of 256 or more
+    points, where ``bytes()`` refuses.
+    """
+    try:
+        packed = bytes(sizes)
+    except ValueError:  # a fiber of 256 or more points
+        histogram = Counter(sizes)
+    else:
+        histogram = Counter()
+        left, size = len(packed), 0
+        while left > len(packed) >> 6:
+            found = packed.count(size)
+            if found:
+                histogram[size] = found
+                left -= found
+            size += 1
+        if left:
+            histogram.update(packed.translate(None, bytes(range(size))))
+    if labels > len(sizes):
+        histogram[0] += labels - len(sizes)
+    return histogram
+
+
 class FiniteFunction(Frozen):
     """An explicit function between two finite nonempty indexed sets.
 
@@ -138,22 +170,25 @@ class FiniteFunction(Frozen):
         """How many fibers have each size (empty fibers under 0).
 
         Counted densely when there are no more labels than points, and
-        by image otherwise, so the memory is bounded by |X| for any |Y|.
+        by image otherwise, so the memory is bounded by |X| for any |Y|;
+        both branches histogram their fiber sizes with ``_size_histogram``
+        (about 30 ms for 10^6 labels, against 50-80 ms for a ``Counter``).
         The dense loop stays for |Y| <= |X|: counting 10^6 images into
         10^6 labels by image alone took 1.21 s against 0.94 s in a cold
         ``deg --file`` (2-core Xeon, Python 3.11) and peaked at 94
         against 74 MiB, the dict of distinct images being larger than
-        the list of counts.
+        the list of counts.  It stays the list loop of ``fiber_sizes``,
+        which ``simulate maxfiber`` shares: counting into a ``bytearray``
+        took 61 against 113 ns an image at 10^6 labels but 52 against 30
+        at 10^4, since CPython 3.11 specializes list subscripts only.
         """
         histogram = self._histogram
         if histogram is None:
             m = self.codomain_size
             if m <= self.domain_size:
-                histogram = Counter(fiber_sizes(self.images, m))
+                histogram = _size_histogram(fiber_sizes(self.images, m), m)
             else:
-                by_image = Counter(self.images)
-                histogram = Counter(by_image.values())
-                histogram[0] = m - len(by_image)
+                histogram = _size_histogram(Counter(self.images).values(), m)
             object.__setattr__(self, "_histogram", histogram)
         return histogram
 
@@ -244,6 +279,8 @@ _JSON_START = re.compile(r"\s*\{")
 # characters of the image list converted at a time; a chunk ends at a
 # space, so no token is cut
 _CHUNK = 1 << 16
+# the bytes of a chunk that the JSON scanner may read
+_DIGITS = b"0123456789 "
 
 
 def _column(line: str, index: int) -> int:
@@ -306,15 +343,39 @@ def _parse_valid_line(line: str) -> Optional[FiniteFunction]:
 def _zero_based_images(body: str) -> list[int]:
     """int(token) - 1 for each token of ``body``, converted in chunks of
     about ``_CHUNK`` characters, each cut at a space, so that no list of
-    all the tokens is built."""
+    all the tokens is built.
+
+    A chunk of ASCII digits and spaces is read by the C scanner of
+    ``json``, with each space made a comma; every number the scanner
+    accepts there is one ``int()`` reads to the same value.  A chunk the
+    scanner refuses (a run of spaces, a leading or trailing space, a
+    leading zero, a number past ``int()``'s digit limit), and any chunk
+    with another character, is converted by ``int()`` token by token,
+    so both routes accept the same files with the same images.  On a
+    10^6-image file (2-core Xeon, Python 3.11) the scanner route took
+    about 150 ms against 220 ms for ``int()``; the guard costs 7-12 ms
+    per 7 MB, where ``str.isdigit`` after removing the spaces took 50 ms.
+    A chunk starts after the space it was cut at, since the scanner
+    refuses a leading space; a body with no space (tabs only) is one
+    chunk, guarded once and not copied.
+    """
     images: list[int] = []
     start, end = 0, len(body)
     while start < end:
         cut = body.find(" ", start + _CHUNK)
         if cut < 0:
             cut = end
-        images += map(sub, map(int, body[start:cut].split()), repeat(1))
-        start = cut
+        chunk = body[start:cut]
+        start = cut + 1
+        if chunk.isascii() and not chunk.encode().translate(None, _DIGITS):
+            try:
+                ones = json.loads("[" + chunk.replace(" ", ",") + "]")
+            except ValueError:  # a token the scanner refuses
+                pass
+            else:
+                images += map(sub, ones, repeat(1))
+                continue
+        images += map(sub, map(int, chunk.split()), repeat(1))
     return images
 
 

@@ -551,13 +551,15 @@ def check_square_moment_identity(
     m(m-1) is evaluated first and short-circuits the first term, so
     r^(m-2) is never formed with a negative exponent when m = 1.
 
-    The left side's walk is weighed against ``DEFAULT_BUDGET`` before
-    any composition is summed: the compositions it visits (those with
-    nothing on a zero part before the last) times the parts, since each
-    costs O(parts) in the walk and in ``_square_sum``.  The numbers
-    both sides form (r^m, the walk's weights and binomials) have at most
-    about m * bit_length(r) bits, which the budget also caps, so a
-    large m is refused even when few compositions are walked.
+    The numbers both sides form (r^m, the walk's weights and binomials)
+    have at most about m * bit_length(r) bits, which ``DEFAULT_BUDGET``
+    caps, so a large m is refused even when few compositions are
+    walked.  Then the left side's walk is weighed against the budget
+    before any composition is summed: the compositions it visits (those
+    with nothing on a zero part before the last) times the parts, since
+    each costs O(parts) in the walk and in ``_square_sum``, times the
+    64-bit words of the largest number formed, since each composition
+    multiplies numbers of up to that size.
     """
     if m < 1:
         raise InvalidSizeError(f"m must be >= 1, got {m}")
@@ -568,14 +570,6 @@ def check_square_moment_identity(
         raise InvalidSizeError(f"k_parts must be >= 0, got {parts}")
     n = len(parts)
     r = sum(parts)
-    visited = _count_weak_compositions(
-        m, 1 + sum(map(bool, parts[:-1])), DEFAULT_BUDGET._ceiling
-    )
-    DEFAULT_BUDGET.check(
-        None if visited is None else visited * n,
-        f"weak compositions of {m} into {n} parts, weighed by their {n} "
-        "parts,",
-    )
     # every weight and binomial of the walk is at most
     # (r + 1)^m <= 2^bits; r^m itself is formed on the right
     bits = m * r.bit_length()
@@ -584,7 +578,17 @@ def check_square_moment_identity(
             f"the powers up to r^m with m = {m} and r = sum(parts) need "
             f"{bits} bits, budget is {DEFAULT_BUDGET.max_states}"
         )
-    lhs =_weighted_composition_sum(m, parts, _square_sum)
+    # at least one word, so that zero parts (r = 0) still weigh
+    words = max(1, -(-bits // 64))
+    visited = _count_weak_compositions(
+        m, 1 + sum(map(bool, parts[:-1])), DEFAULT_BUDGET._ceiling
+    )
+    DEFAULT_BUDGET.check(
+        None if visited is None else visited * n * words,
+        f"weak compositions of {m} into {n} parts, weighed by their {n} "
+        f"parts and the {words} words of their numbers,",
+    )
+    lhs = _weighted_composition_sum(m, parts, _square_sum)
 
     lead = m * (m - 1)
     first = lead * r ** (m - 2) * _square_sum(parts) if lead else 0

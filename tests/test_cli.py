@@ -228,6 +228,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "needs 3600000000 enumerated objects" in err
 
+    def test_en_refused_by_the_words_of_its_numbers(self, capsys, deadline):
+        # 20,001 compositions of two parts, each forming numbers of up to
+        # 625 words: refused at once, where the walk had run past 15 s
+        code, out, err = invoke(
+            capsys, "verify", "en", "--m", "20000", "--parts", "1,1"
+        )
+        assert (code, out) == (2, "")
+        assert "needs 25001250 enumerated objects" in err
+
     def test_en_refused_by_the_bits_of_its_powers(self, capsys, deadline):
         # one composition walked, but powers of 10^8 bits
         code, out, err = invoke(

@@ -5,8 +5,10 @@ import random
 import re
 import sys
 import tracemalloc
+import unittest.mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noninv import (
     FiniteFunction,
@@ -472,3 +474,91 @@ class TestChunkedTextParse:
         token_list = sys.getsizeof(tokens) + sum(map(sys.getsizeof, tokens))
         assert slack < token_list / 2
         assert peak < kept + slack
+
+
+# Tokens and separators that one of the two routes of the chunked reader
+# (the JSON scanner and int()) reads differently from the other, or
+# refuses: each must give the reference's function or error.
+ODD_PIECES = [
+    "1\t2", "1  2", "007", "+5", "1_0", "٣", "1\xa02", "-0", "0",
+    "1.0", "1e3", "true", "[1]", "9" * 5000, "1,2",
+]
+
+
+def _odd_line(piece: str, prefix: str = "", suffix: str = "") -> str:
+    """A line whose header counts the tokens str.split() sees, so that
+    only the images themselves can be refused; codomain 10."""
+    body = prefix + piece + suffix
+    return f"{len(body.split())} 10 : {body}"
+
+
+class TestParseRoutes:
+    """The JSON-scanner route and the int() route of ``_zero_based_images``
+    read the same files with the same images and refusals."""
+
+    @pytest.mark.parametrize("piece", ODD_PIECES + ["1 2 "])
+    def test_short_line(self, piece):
+        text = _odd_line(piece, "3 ", " 4")
+        assert outcome(parse_function_text, text) == outcome(
+            reference_parse_text, text
+        )
+
+    @pytest.mark.parametrize("piece", ODD_PIECES + [""])
+    def test_on_both_sides_of_a_chunk_cut(self, piece):
+        # the first copy of the piece starts at _CHUNK, so the first cut
+        # falls just after it (or inside it, at its space) and the
+        # second copy starts the next chunk; "" leaves a trailing space
+        prefix = "1 " * (functions._CHUNK // 2)
+        text = _odd_line(piece, prefix, f" {piece} 2 3" if piece else "2 3 ")
+        body = text.split(None, 3)[3]
+        cut = body.find(" ", functions._CHUNK)
+        assert len(body) > functions._CHUNK and 0 < cut < len(body)
+        assert outcome(parse_function_text, text) == outcome(
+            reference_parse_text, text
+        )
+
+    def test_comma_list_refused_under_its_comma_count(self):
+        # "1,2 3" is three images to a comma-splitting reader, two tokens
+        # to str.split(): refused with the reference's message
+        text = "3 3 : 1,2 3"
+        got = outcome(parse_function_text, text)
+        assert got == outcome(reference_parse_text, text)
+        assert got == ("line 1, column 11: expected 3 images, got 2", 1, 11)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 10).map(str),
+                st.sampled_from(ODD_PIECES + ["11", " ", "\t"]),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.integers(1, 12),
+    )
+    def test_random_tokens_against_reference(self, pieces, chunk):
+        text = _odd_line(" ".join(pieces))
+        with unittest.mock.patch.object(functions, "_CHUNK", chunk):
+            got = outcome(parse_function_text, text)
+        assert got == outcome(reference_parse_text, text)
+
+    def test_benchmark_shaped_file_is_read_by_the_scanner(self, monkeypatch):
+        # ASCII digits and single spaces, longer than two chunks: every
+        # image must come through json.loads, none through int()
+        n = functions._CHUNK // 2  # about six characters an image
+        rng = random.Random(11)
+        text = f"{n} {n} : " + " ".join(
+            str(rng.randrange(n) + 1) for _ in range(n)
+        )
+        assert len(text) > 2 * functions._CHUNK
+        loads = json.loads
+        scanned = []
+
+        def counted(s, *args, **kwargs):
+            value = loads(s, *args, **kwargs)
+            scanned.append(len(value))
+            return value
+
+        monkeypatch.setattr(functions.json, "loads", counted)
+        f = parse_function_text(text)
+        assert f.domain_size == n and len(scanned) >= 3
+        assert sum(scanned) == n

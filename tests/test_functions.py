@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from noninv import (
     identity_function,
     make_function,
 )
+from noninv.functions import fiber_sizes
 
 
 def random_function(draw_sizes=(1, 6)):
@@ -177,6 +179,26 @@ class TestFiberCache:
         f = make_function(n, m, images)
         assert f._fiber_histogram() == histogram
         assert sum(f._histogram.values()) == m
+
+    @pytest.mark.parametrize("images", [
+        # one fiber of 300 points: bytes() refuses it
+        [0] * 300,
+        # a fiber reaches 256 points only at the last image
+        [0] * 255 + list(range(1, 100)) + [0],
+        # every fiber has 255 points, the most a byte holds
+        [y for y in range(4) for _ in range(255)],
+        # a few large fibers among many of at most one point, counted
+        # one by one after the passes over the small sizes
+        list(range(2000)) + [0] * 200 + [1] * 60 + [2] * 9,
+    ], ids=["constant-300", "256-at-last", "all-255", "few-large"])
+    def test_histogram_equals_counter_of_fiber_sizes(self, images):
+        n = len(images)
+        # as many labels as the images use (dense), and more labels
+        # than points (by image)
+        for m in (max(images) + 1, n + 7):
+            f = make_function(n, m, images)
+            want = Counter(fiber_sizes(images, m))
+            assert sorted(f._fiber_histogram().items()) == sorted(want.items())
 
     @pytest.mark.parametrize("images", [
         [float("nan")], [False], [True],

@@ -466,10 +466,11 @@ class TestSquareMomentIdentity:
         assert report.parameters == {"m": 3, "n": 3, "r": 3}
 
     def test_budget(self):
-        # C(59, 29) ~ 5.9e16 compositions of 30 parts each: refused by
+        # C(59, 29) ~ 5.9e16 compositions of 30 parts each, with numbers
+        # of 30 * bit_length(30) = 150 bits (3 words): refused by
         # counting, not run
         with pytest.raises(
-            BudgetExceededError, match=str(59132290782430712 * 30)
+            BudgetExceededError, match=str(59132290782430712 * 30 * 3)
         ):
             check_square_moment_identity(30, (1,) * 30)
 
@@ -488,6 +489,28 @@ class TestSquareMomentIdentity:
             check_square_moment_identity(1, (1,) * 1000)
         with pytest.raises(BudgetExceededError, match="1002001"):
             check_square_moment_identity(1, (1,) * 1001)
+
+    def test_budget_weighs_each_composition_by_its_words(
+        self, monkeypatch, deadline
+    ):
+        def walked(*_args):
+            raise AssertionError("summed before refusing")
+
+        monkeypatch.setattr(oracle, "_weighted_composition_sum", walked)
+        # two parts of 1: m + 1 compositions of 2 parts, ceil(2m / 64)
+        # words each; m = 3999 weighs 4000 * 2 * 125 = 10^6, at the
+        # budget, and m = 4000 weighs 4001 * 2 * 125, over it
+        with pytest.raises(AssertionError, match="summed"):
+            check_square_moment_identity(3999, (1, 1))
+        with pytest.raises(
+            BudgetExceededError, match="125 words .* needs 1000250 "
+        ):
+            check_square_moment_identity(4000, (1, 1))
+        with pytest.raises(BudgetExceededError, match="needs 25001250 "):
+            check_square_moment_identity(20000, (1, 1))
+        # numbers of 0 bits (every part 0) still weigh one word each
+        with pytest.raises(BudgetExceededError, match="needs 1000001 "):
+            check_square_moment_identity(1, (0,) * (10**6 + 1))
 
     def test_budget_caps_the_bits_of_the_powers(self, monkeypatch, deadline):
         # m * bit_length(r) = 10^6 bits, at the budget
