@@ -9,9 +9,7 @@ and the test suite asserts exact agreement between the paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
-from operator import mul
 from typing import Iterable, Sequence
 
 from ._frozen import Frozen
@@ -227,8 +225,10 @@ def power_sum_stirling_form(n: int, q: int) -> int:
 def stirling_power_sum(q: int) -> int:
     """sum_{i=1..q} {q brace i} q(q-1)...(q-i+1), which is q^q.
 
-    The one Stirling sum (``_stirling_sum``) at m = 1 over the falling
-    factorials (q)_i, each formed as a direct product from (q)_(i-1):
+    The one Stirling sum (``_stirling_sum``) in its falling-factorial
+    mode at m = q, by nested Horner: one product of the running sum by
+    a small factor per entry, where a dot product over the falling
+    factorials (q)_i multiplies two big numbers per entry:
     x^q = sum_i {q brace i} x(x-1)...(x-i+1) (Graham, Knuth & Patashnik,
     *Concrete Mathematics*, eq. 6.10) at x = q.  No (q)_i with i <= q
     is zero, so every entry of the second-kind row q counts, where the
@@ -236,4 +236,4 @@ def stirling_power_sum(q: int) -> int:
     """
     if q < 1:
         raise InvalidExponentError(f"q must be >= 1, got {q}")
-    return _stirling_sum(q, 1, accumulate(range(q, 0, -1), mul, initial=1))
+    return _stirling_sum(q, q)

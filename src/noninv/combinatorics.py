@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, NegativePartError
 
@@ -235,15 +235,26 @@ def stirling1_signed_sums(n: int) -> list[int]:
     return _SHARED.first_signed_sums(n)
 
 
-def _stirling_sum(q: int, m: int, w: Iterable[int]) -> int:
+def _stirling_sum(q: int, m: int, w: Optional[Iterable[int]] = None) -> int:
     """sum_{i=0..q} {q brace i} m^(q-i) w_i, w = (w_0, w_1, ...): the
     Stirling double sum of every closed form, given its inner sums w_i
     ({q brace 0} = 0 for q >= 1, so w_0 only aligns the indices).
+    Without w, the falling-factorial mode: sum_{i=0..q} {q brace i}
+    (m)_i, where (m)_i = m(m-1)...(m-i+1).
 
     One ``ensure`` for row q and one product per entry: Horner in m, or
     at m = 1 a dot product, which stops at the shorter of row and w.
+    The falling-factorial mode is nested Horner from the last entry,
+    m({q brace 1} + (m-1)({q brace 2} + ...)) plus {q brace 0}: each
+    step multiplies the running sum by the small m - i, where the
+    (m)_i themselves grow to q log q bits.
     """
     row = _SHARED.second_row(q)
+    if w is None:
+        total = 0
+        for i in range(q, -1, -1):
+            total = total * (m - i) + row[i]
+        return total
     if m == 1:
         return sum(map(mul, row, w))
     total = 0

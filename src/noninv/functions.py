@@ -277,7 +277,7 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
 _TOKEN = re.compile(r"\S+")
 _JSON_START = re.compile(r"\s*\{")
 # characters of the image list converted at a time; a chunk ends at a
-# space, so no token is cut
+# space or a tab, so no token is cut
 _CHUNK = 1 << 16
 # the bytes of a chunk that the JSON scanner may read
 _DIGITS = b"0123456789 "
@@ -355,16 +355,27 @@ def _zero_based_images(body: str) -> list[int]:
     10^6-image file (2-core Xeon, Python 3.11) the scanner route took
     about 150 ms against 220 ms for ``int()``; the guard costs 7-12 ms
     per 7 MB, where ``str.isdigit`` after removing the spaces took 50 ms.
-    A chunk starts after the space it was cut at, since the scanner
-    refuses a leading space; a body with no space (tabs only) is one
-    chunk, guarded once and not copied.
+    A chunk ends at the first space or tab at or after ``_CHUNK``
+    characters, and the next starts after it, since the scanner refuses
+    a leading space; a body with neither past that point is one chunk.
+    The next space and the next tab are each looked for again only once
+    the chunk start has passed them, so a body of spaces alone (or tabs
+    alone) is searched for the other separator once.
     """
     images: list[int] = []
     start, end = 0, len(body)
+    space = tab = -1
     while start < end:
-        cut = body.find(" ", start + _CHUNK)
-        if cut < 0:
-            cut = end
+        low = start + _CHUNK
+        if space < low:
+            space = body.find(" ", low)
+            if space < 0:
+                space = end
+        if tab < low:
+            tab = body.find("\t", low)
+            if tab < 0:
+                tab = end
+        cut = min(space, tab)
         chunk = body[start:cut]
         start = cut + 1
         if chunk.isascii() and not chunk.encode().translate(None, _DIGITS):

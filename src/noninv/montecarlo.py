@@ -37,7 +37,12 @@ counter-based, so each of these streams depends only on (seed, i, b):
 blocks are independent of each other and of the order they run in.
 Per-block partial sums are exact integers, so their total is the same
 in any order.  The block size is part of the stream contract: changing
-it changes the report.
+it changes the report.  Where ``os.fork`` exists, a run of two or more
+blocks and at least ``_FORK_DRAWS`` draws deals its blocks round-robin
+to one process per usable CPU (``_run_blocks``): the calling process
+and workers forked from it, each sending back its two exact totals.
+The report is the same for any number of workers; how blocks are
+spread over processes is not part of the contract.
 
 A chain sample takes n_1 draws below n_2 for f_1 at x = 0..n_1-1, in
 order.  Each later f_s is drawn only at the image points of the partial
@@ -69,7 +74,9 @@ not its draws.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import sys
 from collections import Counter
 from functools import cache
@@ -108,8 +115,18 @@ STREAM_CONTRACT = 4
 # or 2,500 below 10^4; CPython 3.11.7, one core of a 2-core VM whose
 # speed drifts by up to 45%); chain sampling on 50,50,50,50 runs at
 # 2.3-4M draws/s with its counting (26-46 us a sample of about 105
-# draws), so a run at the cap takes 25-45 s
+# draws), so a run at the cap takes 25-45 s in one process.  Forked
+# workers share it: 50,50,50,50 at 10^5 samples (1.5e7 draws) took
+# 1.6 s on two CPUs against 2.8 s in one process, cold
 MAX_DRAWS = 10**8
+# a run that may draw fewer values runs in one process.  A fork costs
+# about a millisecond, which a nearly empty block does not repay: cold,
+# forked against serial on a 2-core VM (fresh bytecode, medians of 11),
+# 50,50,50,50 at 1,025 samples (153,750 draws, one sample in the second
+# block) took 104.9 against 104.2 ms, and at 2,048 samples (307,200
+# draws) 127 against 136 ms.  Runs below the gate give up gains:
+# --sizes 2,2 at 32,768 draws took 134 against 154 ms forked
+_FORK_DRAWS = 1 << 18
 # the batches of a block's digit streams hold at most this many digits
 # beyond one word per bound, so a sample holds its fiber counts and the
 # batches, not n draws
@@ -431,31 +448,171 @@ def _maxfiber_block(
     return total, total_sq
 
 
-def _check_draws(samples: int, per_sample: int, what: str) -> None:
-    """Refuse a run that may draw more than ``MAX_DRAWS`` values, before
-    any drawing.  A huge count is not printed (``str`` limits digits)."""
+def _check_draws(samples: int, per_sample: int, what: str) -> int:
+    """The most values a run may draw; a run that may draw more than
+    ``MAX_DRAWS`` is refused, before any drawing.  A huge count is not
+    printed (``str`` limits digits)."""
     draws = samples * per_sample
     if draws <= MAX_DRAWS:
-        return
+        return draws
     needs = str(draws) if draws < 10**100 else "more than 10^100"
     raise BudgetExceededError(
         f"{what} may need {needs} random draws, cap is {MAX_DRAWS}"
     )
 
 
-def _run_blocks(
-    block_fn: Callable[[int, int], tuple[int, int]], samples: int
+def _workers(blocks: int, draws: int) -> int:
+    """Processes a run of ``blocks`` blocks and at most ``draws`` draws
+    is split over: one per usable CPU (the affinity mask, which
+    ``taskset`` limits), at most one per block.  One for a run of fewer
+    than ``_FORK_DRAWS`` draws, where there is no ``os.fork``, or where
+    another thread is alive, which a forked child would not have
+    (Python 3.12 warns on such a fork); ``threading`` is looked at only
+    if it was imported."""
+    threading = sys.modules.get("threading")
+    if (
+        blocks < 2
+        or draws < _FORK_DRAWS
+        or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus)
+
+
+def _share(
+    block_fn: Callable[[int, int], tuple[int, int]],
+    samples: int,
+    worker: int,
+    workers: int,
+    parent: int,
 ) -> tuple[int, int]:
-    """Totals of ``block_fn(block, count)`` over the blocks in order."""
+    """Totals of ``block_fn(block, count)`` over the blocks of worker
+    ``worker`` of ``workers``: every ``workers``-th block from block
+    ``worker`` on.  Process ``parent`` runs the run; a worker it forked
+    stops at the next block once that process is gone (its parent is no
+    longer ``parent``), raising ``ProcessLookupError``."""
     total = 0
     total_sq = 0
-    for b in range((samples + BLOCK_SAMPLES - 1) // BLOCK_SAMPLES):
+    blocks = -(-samples // BLOCK_SAMPLES)
+    for b in range(worker, blocks, workers):
+        if parent != os.getpid() and parent != os.getppid():
+            raise ProcessLookupError(f"process {parent} is gone")
         block_sum, block_sq = block_fn(
             b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES)
         )
         total += block_sum
         total_sq += block_sq
     return total, total_sq
+
+
+def _fork_share(
+    share: Callable[[int], tuple[int, int]], worker: int, readers: list[int]
+) -> tuple[int, int]:
+    """Fork a process that runs ``share(worker)``.  It writes the
+    marshalled totals to a pipe and exits with 0, or the pickled error
+    and exits with 1, through ``os._exit``: it never returns into the
+    caller's stack, runs no exit handler and flushes no inherited
+    buffer.  It first closes the ``readers`` of the workers forked
+    before it.  Returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        for fd in readers:
+            os.close(fd)
+        try:
+            data, written = marshal.dumps(share(worker)), 0
+        except BaseException as exc:  # raised by the calling process
+            import pickle
+
+            data, written = pickle.dumps(exc), 1
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = written
+    finally:
+        os._exit(code)
+
+
+def _worker_totals(pid: int, data: bytes, status: int) -> tuple[int, int]:
+    """The totals a reaped worker wrote, or the error it wrote, raised;
+    ``ChildProcessError`` when it wrote neither (killed, say)."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return marshal.loads(data)
+    try:
+        import pickle
+
+        error = pickle.loads(data)
+    except Exception:
+        error = None
+    if not isinstance(error, BaseException):
+        raise ChildProcessError(
+            f"Monte Carlo worker {pid} ended with status {code}"
+        )
+    raise error
+
+
+def _run_blocks(
+    block_fn: Callable[[int, int], tuple[int, int]], samples: int, draws: int
+) -> tuple[int, int]:
+    """Totals of ``block_fn(block, count)`` over the run's blocks, which
+    take at most ``draws`` draws.
+
+    The blocks are dealt round-robin to ``_workers`` processes: this one
+    and workers forked from it, each sending back its two exact totals
+    (a share no worker could be forked for runs here).  A block's sums
+    depend only on the block, and integers add up the same in any
+    order, so the totals are those of the blocks run in order.  Every
+    worker is reaped before this returns or raises.  A worker's error
+    is raised here once all are reaped; on an error of this process's
+    own share, or an interrupt, the workers are killed first."""
+    workers = _workers(-(-samples // BLOCK_SAMPLES), draws)
+    parent = os.getpid()
+
+    def share(worker: int) -> tuple[int, int]:
+        return _share(block_fn, samples, worker, workers, parent)
+
+    own = [0]
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    outputs: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for worker in range(1, workers):
+            try:
+                pid, read = _fork_share(share, worker, [*children.values()])
+            except OSError:  # no process or pipe to spare
+                own.append(worker)
+            else:
+                children[pid] = read
+        totals = [share(worker) for worker in own]
+        for read in children.values():
+            with open(read, "rb", closefd=False) as pipe:
+                outputs.append(pipe.read())
+    finally:
+        stopped = len(outputs) < len(children)
+        if stopped:
+            import signal
+        for pid, read in children.items():
+            os.close(read)
+            if stopped:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    totals += map(_worker_totals, children, outputs, statuses)
+    return sum(s for s, _ in totals), sum(sq for _, sq in totals)
 
 
 def _mean_and_error(
@@ -481,12 +638,13 @@ def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
     if config.sizes is None:
         raise InvalidSizeError("config.sizes must be a ChainSpec")
     sizes = config.sizes.sizes
-    _check_draws(
+    draws = _check_draws(
         config.samples, sum(_chain_draws(sizes).values()), "chain sampling"
     )
     total, total_sq = _run_blocks(
         lambda b, c: _chain_block(sizes, config.seed, b, c),
         config.samples,
+        draws,
     )
     mean, std_error = _mean_and_error(
         total, total_sq, config.samples, sizes[0]
@@ -515,10 +673,11 @@ def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
         raise InvalidSizeError(
             f"max-fiber estimation needs n >= 3, got {n}"
         )
-    _check_draws(config.samples, n, "max-fiber sampling")
+    draws = _check_draws(config.samples, n, "max-fiber sampling")
     total, total_sq = _run_blocks(
         lambda b, c: _maxfiber_block(n, config.seed, b, c),
         config.samples,
+        draws,
     )
     mean, std_error = _mean_and_error(total, total_sq, config.samples, 1)
     ratio = float(mean) / (math.log(n) / math.log(math.log(n)))

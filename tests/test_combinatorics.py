@@ -426,6 +426,20 @@ class TestStirlingSum:
             stirling2(q, i) * m ** (q - i) * w[i] for i in range(q + 1)
         )
 
-    def test_refused_past_row_cap(self, refuse_growth):
+    @given(q=st.integers(0, 12), m=st.integers(-5, 20))
+    def test_falling_factorial_mode(self, q, m):
+        # (m)_i = m(m-1)...(m-i+1), a product of i factors
+        assert _stirling_sum(q, m) == sum(
+            stirling2(q, i) * math.prod(range(m, m - i, -1))
+            for i in range(q + 1)
+        )
+
+    def test_falling_factorials_of_q_give_q_to_the_q(self):
+        assert [_stirling_sum(q, q) for q in range(8)] == [
+            q**q for q in range(8)
+        ]
+
+    @pytest.mark.parametrize("w", [[], None])
+    def test_refused_past_row_cap(self, refuse_growth, w):
         with pytest.raises(BudgetExceededError):
-            _stirling_sum(MAX_STIRLING_ROWS + 1, 2, [])
+            _stirling_sum(MAX_STIRLING_ROWS + 1, 2, w)

@@ -273,6 +273,12 @@ def outcome(parse, text):
         return (str(exc), exc.line, exc.column)
 
 
+def separated(tokens, separators):
+    """The tokens joined by the characters of ``separators`` in turn."""
+    seps = separators * (len(tokens) // len(separators) + 1)
+    return "".join(map(str.__add__, tokens, seps))[:-1]
+
+
 def with_image(images, index, token):
     return images[:index] + [token] + images[index + 1:]
 
@@ -441,17 +447,37 @@ class TestChunkedTextParse:
             assert h.fiber_sizes() == checked.fiber_sizes()
             assert h.max_fiber() == checked.max_fiber()
 
-    def test_text_parse_holds_no_token_list(self):
+    @pytest.mark.parametrize("separators", ["\t", "\t \t", " \t  ", "\t\t "])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_cuts_at_tabs(self, monkeypatch, separators, chunk):
+        # tab-only and mixed bodies: chunks are cut at tabs as well as
+        # spaces, and read the images str.split() sees
+        rng = random.Random(chunk)
+        n = 300
+        body = separated(
+            [str(rng.randrange(n) + 1) for _ in range(n)], separators
+        )
+        monkeypatch.setattr(functions, "_CHUNK", chunk)
+        assert functions._zero_based_images(body) == [
+            int(token) - 1 for token in body.split()
+        ]
+        text = f"{n} {n} :\t{body}"
+        assert outcome(parse_function_text, text) == outcome(
+            reference_parse_text, text
+        )
+
+    @pytest.mark.parametrize("separators", [" ", "\t", "\t \t"])
+    def test_text_parse_holds_no_token_list(self, separators):
         # Parsing keeps the image tuple and its ints.  On top of those
         # the reader may hold, all at once at worst: the list the images
         # are gathered in (8 bytes an image, at most 1/8 over-allocated),
         # the image list split off the header (one byte a character
-        # here) and one chunk with its tokens.  A list of every token
-        # of the line would need far more.
+        # here) and one chunk with its tokens, cut at a space or a tab.
+        # A list of every token of the line would need far more.
         n = 10**5
         rng = random.Random(5)
-        line = f"{n} {n} : " + " ".join(
-            str(rng.randrange(n) + 1) for _ in range(n)
+        line = f"{n} {n} : " + separated(
+            [str(rng.randrange(n) + 1) for _ in range(n)], separators
         )
         tracemalloc.start()
         try:
@@ -461,7 +487,10 @@ class TestChunkedTextParse:
             tracemalloc.stop()
         assert f.domain_size == n
         body = line.split(None, 3)[3]
-        chunk = body[:body.find(" ", functions._CHUNK)]
+        chunk = body[:min(
+            cut for cut in (body.find(sep, functions._CHUNK) for sep in " \t")
+            if cut >= 0
+        )]
         chunk_tokens = chunk.split()
         slack = (
             sys.getsizeof(list(f.images)) * 9 // 8

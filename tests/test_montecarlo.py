@@ -1,7 +1,13 @@
 """Seeded sampling: stream contract, determinism, statistical sanity."""
 
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 from collections import Counter
+from pathlib import Path
 from fractions import Fraction
 from itertools import product
 
@@ -743,7 +749,7 @@ class TestDrawCap:
         cap instead of drawing them."""
         ran = []
 
-        def run_blocks(block_fn, samples):
+        def run_blocks(block_fn, samples, draws):
             ran.append(samples)
             return 0, 0
 
@@ -774,6 +780,278 @@ class TestDrawCap:
                 1000, SamplerConfig(seed=1, samples=fits + 1)
             )
         assert ran == [fits]
+
+
+def use_cpus(monkeypatch, count):
+    """Make the affinity mask hold ``count`` CPUs and let runs of any
+    size fork; return the list in which every ``os.fork`` call is
+    recorded (in the forking process)."""
+    monkeypatch.setattr(montecarlo, "_FORK_DRAWS", 0)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+    forks = []
+    fork = os.fork
+
+    def recorded_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forks
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def chain_block_failing(monkeypatch, failure, where):
+    """Make a chain block raise ``failure`` in a forked worker
+    (``where`` "worker") or in this process ("here"); the blocks of the
+    other side sleep for a minute ("here") or run as usual."""
+    run_here = os.getpid()
+    block = montecarlo._chain_block
+
+    def failing(sizes, seed, b, count):
+        if (os.getpid() == run_here) == (where == "here"):
+            raise failure
+        if where == "here":
+            time.sleep(60)
+        return block(sizes, seed, b, count)
+
+    monkeypatch.setattr(montecarlo, "_chain_block", failing)
+
+
+def cli_env():
+    """The environment of a child Python that imports this package."""
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+# a run on two CPUs whose process exits once its one worker has started;
+# the worker writes its pid to {pid_file} and sleeps 50 ms a block, 10 s
+# in all if it does not stop
+ORPHAN_SCRIPT = """
+import os, time
+from noninv import montecarlo
+os.sched_getaffinity = lambda pid: {{0, 1}}
+run_here, pid_file = os.getpid(), {pid_file!r}
+
+def block_fn(b, count):
+    if os.getpid() == run_here:
+        while not os.path.exists(pid_file):
+            time.sleep(0.01)
+        os._exit(0)
+    if not os.path.exists(pid_file):
+        with open(pid_file + ".part", "w") as out:
+            out.write(str(os.getpid()))
+        os.replace(pid_file + ".part", pid_file)
+    time.sleep(0.05)
+    return 0, 0
+
+montecarlo._run_blocks(block_fn, 400 * montecarlo.BLOCK_SAMPLES, 10**8)
+"""
+
+CHAIN_753 = SamplerConfig(seed=4, samples=2048, sizes=ChainSpec((7, 5, 3)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestWorkers:
+    """Blocks dealt round-robin to forked workers give the serial report,
+    and every worker is reaped on every way out of a run."""
+
+    THREE_BLOCKS = [
+        (estimate_expected_degree_chain, (7, 5, 3)),
+        (estimate_max_fiber_mean, 7),
+    ]
+
+    @staticmethod
+    def report(estimate, size, samples):
+        if estimate is estimate_max_fiber_mean:
+            return estimate(size, SamplerConfig(seed=11, samples=samples))
+        return estimate(
+            SamplerConfig(seed=11, samples=samples, sizes=ChainSpec(size))
+        )
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    @pytest.mark.parametrize(
+        "estimate,size,samples",
+        [(e, s, 1500) for e, s in TestBatches.CASES]
+        + [(e, s, 3000) for e, s in THREE_BLOCKS],
+    )
+    def test_reports_equal_serial(
+        self, monkeypatch, cpus, estimate, size, samples
+    ):
+        with monkeypatch.context() as patch:
+            serial_forks = use_cpus(patch, 1)
+            serial = self.report(estimate, size, samples)
+        forks = use_cpus(monkeypatch, cpus)
+        assert self.report(estimate, size, samples) == serial
+        blocks = -(-samples // BLOCK_SAMPLES)
+        assert (len(serial_forks), len(forks)) == (0, min(cpus, blocks) - 1)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (4, 3)])
+    def test_workers_from_affinity(self, monkeypatch, cpus, workers):
+        use_cpus(monkeypatch, cpus)
+        assert montecarlo._workers(3, 0) == workers
+        assert montecarlo._workers(1, 0) == 1
+
+    def test_small_runs_stay_here(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 4)
+        gate = 1 << 16
+        monkeypatch.setattr(montecarlo, "_FORK_DRAWS", gate)
+        assert montecarlo._workers(3, gate - 1) == 1
+        assert montecarlo._workers(3, gate) == 3
+        # 2 draws a sample: 32,767 samples stay here, 32,768 fork
+        for samples, forked in [(gate // 2 - 1, 0), (gate // 2, 3)]:
+            estimate_expected_degree_chain(
+                SamplerConfig(seed=1, samples=samples, sizes=ChainSpec((2, 2)))
+            )
+            assert len(forks) == forked
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert montecarlo._workers(5, 0) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._workers(5, 0) == 1
+
+    def test_serial_without_fork(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        serial = estimate_expected_degree_chain(CHAIN_753)
+        monkeypatch.delattr(os, "fork")
+        assert montecarlo._workers(3, 0) == 1
+        assert estimate_expected_degree_chain(CHAIN_753) == serial
+
+    def test_serial_while_a_thread_lives(self, monkeypatch):
+        forks = use_cpus(monkeypatch, 4)
+        serial = estimate_expected_degree_chain(CHAIN_753)
+        assert len(forks) == 1
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert montecarlo._workers(3, 0) == 1
+            assert estimate_expected_degree_chain(CHAIN_753) == serial
+        finally:
+            done.set()
+            thread.join()
+        assert len(forks) == 1
+
+    def test_serial_when_fork_fails(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        serial = estimate_expected_degree_chain(CHAIN_753)
+
+        def refused():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert estimate_expected_degree_chain(CHAIN_753) == serial
+
+    @pytest.mark.parametrize("failure", [
+        InvalidSizeError("from a worker"), MemoryError(), KeyboardInterrupt(),
+    ])
+    def test_worker_error_raised_here(self, deadline, monkeypatch, failure):
+        use_cpus(monkeypatch, 2)
+        chain_block_failing(monkeypatch, failure, "worker")
+        with pytest.raises(type(failure)) as raised:
+            estimate_expected_degree_chain(CHAIN_753)
+        assert raised.value.args == failure.args
+        assert no_child_left()
+
+    def test_killed_worker(self, deadline, monkeypatch):
+        # a worker killed by a signal writes neither totals nor an error
+        use_cpus(monkeypatch, 2)
+        run_here = os.getpid()
+        block = montecarlo._chain_block
+
+        def killed(sizes, seed, b, count):
+            if os.getpid() != run_here:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block(sizes, seed, b, count)
+
+        monkeypatch.setattr(montecarlo, "_chain_block", killed)
+        killed_status = f"status {-signal.SIGKILL}"
+        with pytest.raises(ChildProcessError, match=killed_status):
+            estimate_expected_degree_chain(CHAIN_753)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failure", [
+        InvalidSizeError("from this process"), KeyboardInterrupt(),
+    ])
+    def test_own_error_kills_the_workers(self, deadline, monkeypatch, failure):
+        # the worker's block sleeps for a minute; the run must end at
+        # once, its worker killed and reaped
+        use_cpus(monkeypatch, 2)
+        chain_block_failing(monkeypatch, failure, "here")
+        with pytest.raises(type(failure)):
+            estimate_expected_degree_chain(CHAIN_753)
+        assert no_child_left()
+
+    def test_orphaned_share_stops(self):
+        # -1 is neither this process nor its parent, as the run's
+        # process is not once it is gone
+        ran = []
+
+        def block_fn(b, count):
+            ran.append(b)
+            return 0, 0
+
+        with pytest.raises(ProcessLookupError):
+            montecarlo._share(block_fn, 5000, 1, 2, -1)
+        assert ran == []
+        assert montecarlo._share(block_fn, 5000, 1, 2, os.getpid()) == (0, 0)
+        assert ran == [1, 3]
+
+    def test_orphaned_worker_stops(self, tmp_path):
+        # the run's process exits while its worker sleeps through 200
+        # blocks of 50 ms; the worker must stop at its next block, which
+        # closes the output pipes it inherited and ends subprocess.run
+        script = ORPHAN_SCRIPT.format(pid_file=str(tmp_path / "worker"))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=cli_env(),
+            capture_output=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert int((tmp_path / "worker").read_text()) > 0
+        assert elapsed < 5
+
+    def test_interrupted_cli_leaves_no_process(self):
+        # Ctrl-C reaches the whole process group, the run and its
+        # workers; the run ends as a serial one does, and no process of
+        # the group is left
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "noninv.cli", "simulate", "chain",
+             "--sizes", "50,50,50,50", "--samples", "600000", "--seed", "1",
+             "--json"],
+            env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            # a cold start takes about 0.1 s, the run about 10 s
+            time.sleep(1)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert out == b""
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestSamplerConfig:
