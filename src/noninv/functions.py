@@ -22,6 +22,7 @@ from typing import Collection, Iterable, NoReturn, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import (
+    BudgetExceededError,
     EmptySetError,
     FunctionFileError,
     InvalidExponentError,
@@ -43,6 +44,9 @@ __all__ = [
     "format_function_text",
     "function_to_json",
 ]
+
+# FiniteFunction.fiber_sizes() lists at most max(|X|, this) fiber sizes
+_MAX_FIBER_LABELS = 1 << 20
 
 
 def fiber_sizes(images: Iterable[int], codomain_size: int) -> list[int]:
@@ -163,8 +167,22 @@ class FiniteFunction(Frozen):
         return self.images[x]
 
     def fiber_sizes(self) -> tuple[int, ...]:
-        """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|."""
-        return tuple(fiber_sizes(self.images, self.codomain_size))
+        """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|.
+
+        One count per label: a codomain of more than max(|X|, 2^20)
+        labels is refused with ``BudgetExceededError`` before anything
+        is allocated, so the counts take no more memory than the images
+        or 2^20 entries (8 MiB).  ``degree``, ``degree_q`` and
+        ``max_fiber`` count fibers in memory bounded by |X| and take any
+        codomain."""
+        m = self.codomain_size
+        cap = max(self.domain_size, _MAX_FIBER_LABELS)
+        if m > cap:
+            raise BudgetExceededError(
+                f"fiber_sizes() would list {m} fiber sizes, cap is "
+                f"max(domain size, {_MAX_FIBER_LABELS}) = {cap}"
+            )
+        return tuple(fiber_sizes(self.images, m))
 
     def _fiber_histogram(self) -> Counter[int]:
         """How many fibers have each size (empty fibers under 0).

@@ -37,12 +37,23 @@ counter-based, so each of these streams depends only on (seed, i, b):
 blocks are independent of each other and of the order they run in.
 Per-block partial sums are exact integers, so their total is the same
 in any order.  The block size is part of the stream contract: changing
-it changes the report.  Where ``os.fork`` exists, a run of two or more
-blocks and at least ``_FORK_DRAWS`` draws deals its blocks round-robin
-to one process per usable CPU (``_run_blocks``): the calling process
-and workers forked from it, each sending back its two exact totals.
-The report is the same for any number of workers; how blocks are
-spread over processes is not part of the contract.
+it changes the report.
+
+Where ``os.fork`` exists, a run is dealt in shares to one process per
+usable CPU (``_run_blocks``): the calling process and workers forked
+from it, each sending back its two exact totals.  A max-fiber sample
+takes a fixed n digits, so sample j of a block starts at digit j * n of
+its digit stream, and the run is dealt in contiguous shares of samples,
+which may start and end inside a block.  A worker whose share starts
+inside a block skips the digits before it (``_skip``): it mixes the
+words that hold them and counts the rejected ones, but extracts no
+digit: at n = 10^4 that takes about a tenth of the time drawing them
+would, and less where a word holds more digits.  A chain sample takes as many draws as the
+images of its maps have points, so a chain run is dealt whole blocks,
+round-robin.  Fewer workers are used where a share would draw fewer
+than ``_FORK_DRAWS`` values.  The report is the same for any number of
+workers; how samples are spread over processes is not part of the
+contract.
 
 A chain sample takes n_1 draws below n_2 for f_1 at x = 0..n_1-1, in
 order.  Each later f_s is drawn only at the image points of the partial
@@ -82,7 +93,7 @@ from collections import Counter
 from functools import cache
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .closed_form import ChainSpec, expected_degree_chain
@@ -119,14 +130,20 @@ STREAM_CONTRACT = 4
 # workers share it: 50,50,50,50 at 10^5 samples (1.5e7 draws) took
 # 1.6 s on two CPUs against 2.8 s in one process, cold
 MAX_DRAWS = 10**8
-# a run that may draw fewer values runs in one process.  A fork costs
-# about a millisecond, which a nearly empty block does not repay: cold,
-# forked against serial on a 2-core VM (fresh bytecode, medians of 11),
-# 50,50,50,50 at 1,025 samples (153,750 draws, one sample in the second
-# block) took 104.9 against 104.2 ms, and at 2,048 samples (307,200
-# draws) 127 against 136 ms.  Runs below the gate give up gains:
-# --sizes 2,2 at 32,768 draws took 134 against 154 ms forked
-_FORK_DRAWS = 1 << 18
+# fewer workers are used where a share would draw fewer values, and
+# none where a second share would: a fork costs more than a nearly
+# empty share saves.  Cold calls with every run forked against none on a
+# 2-core VM (fresh bytecode, medians of 21 alternating pairs):
+# --sizes 2,2 at 8,192 samples (8,192 draws a share) took 67.2 against
+# 69.7 ms, forked faster in 20 of 21 pairs, and at 32,768 samples 99.0
+# against 118.8 (20 of 21); max-fiber samples draw faster, and n = 1000
+# at 32 samples (16,000 draws a share) took 65.2 against 61.7 ms (0 of
+# 21), at 64 samples 66.2 against 67.3 (12 of 21) and at 256 samples
+# 96.2 against 97.2 (16 of 21).  At 2^15 on two CPUs, --sizes 2,2
+# forks from 32,768 samples and max-fiber runs at n = 1000 from 66,
+# while --sizes 50,50,50,50 at 1,025 samples, whose second share would
+# hold one sample, runs in one process
+_FORK_DRAWS = 1 << 15
 # the batches of a block's digit streams hold at most this many digits
 # beyond one word per bound, so a sample holds its fiber counts and the
 # batches, not n draws
@@ -191,14 +208,16 @@ def _lane_words(
     return (halves[::2] if byteorder == "little" else halves[::-2]).tolist()
 
 
-def _words(state: int, n: int) -> list[int]:
+def _mixed_lanes(state: int, n: int) -> tuple[int, int, int]:
     """The next n words (n <= ``_LANES``) of the SplitMix64 stream at
     ``state``, mixed together, one 128-bit lane of one int per word
-    (SWAR).  Lane j starts at state + j * gamma mod 2^64; each
-    xor-shift and each multiply by a 64-bit constant is one operation
-    on the whole int.  A mask after each keeps every lane below 2^64:
-    the shift moves the next lane's low bits into this lane's high
-    half, and a 64 x 64-bit product fills its own lane but no more."""
+    (SWAR), with the one and mask constants of n lanes.  Lane j starts
+    at state + j * gamma mod 2^64; each xor-shift and each multiply by a
+    64-bit constant is one operation on the whole int.  A mask after
+    each keeps every lane below 2^64: the shift moves the next lane's
+    low bits into this lane's high half, and a 64 x 64-bit product
+    fills its own lane but no more.  The last shift is not masked: the
+    low halves hold the words, the high halves leftovers."""
     ones, gammas, mask = _lane_constants()
     if n < _LANES:
         cut = (1 << (n << 7)) - 1
@@ -206,9 +225,14 @@ def _words(state: int, n: int) -> list[int]:
     z = (state * ones + gammas) & mask
     z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
     z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-    # the low halves are final: the last shift moves bits only into
-    # the high halves, which _lane_words skips
-    return _lane_words(z ^ (z >> 31), n)
+    return z ^ (z >> 31), ones, mask
+
+
+def _words(state: int, n: int) -> list[int]:
+    """The next n words (n <= ``_LANES``) of the SplitMix64 stream at
+    ``state``, mixed by ``_mixed_lanes``; ``_lane_words`` reads the low
+    halves only."""
+    return _lane_words(_mixed_lanes(state, n)[0], n)
 
 
 # unbounded: a run reads it for one bound per distinct set size, and a
@@ -264,6 +288,30 @@ def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
                     append(z % bound)
         state = (state + words * _GAMMA) & _MASK64
     return state, draws
+
+
+def _skip(state: int, bound: int, digits: int) -> tuple[int, int]:
+    """Pass over the first ``digits`` digits below ``bound`` of the
+    SplitMix64 stream at ``state`` without extracting any: returns the
+    state after the accepted words that hold them whole, and how many
+    digits of the next accepted word to drop as well.  ``_draw`` from
+    that state, less the dropped digits, reads the draws one ``_draw``
+    from ``state`` would read after the first ``digits``.
+
+    Only the rejected words are counted, on the mixed lanes: adding
+    2^64 - threshold to every lane carries into bit 64 of the lanes of
+    rejected words, and ``int.bit_count`` counts those carries.  A round
+    mixes as many words as accepted words are still missing, at most
+    ``_LANES``, so the call reads no word past its last accepted one."""
+    k, threshold = _word_digits(bound)
+    missing, drop = divmod(digits, k)
+    while missing > 0:
+        words = min(missing, _LANES)
+        lanes, ones, mask = _mixed_lanes(state, words)
+        carries = (lanes & mask) + ((1 << 64) - threshold) * ones
+        missing -= words - (carries >> 64 & ones).bit_count()
+        state = (state + words * _GAMMA) & _MASK64
+    return state, drop
 
 
 def derived_stream(seed: int, index: int) -> SplitMix64:
@@ -386,19 +434,20 @@ class _Batches:
 
 
 def _digit_streams(
-    seed: int, block: int, draws: dict[int, int]
+    seed: int, block: int, draws: dict[int, int], skip: int = 0
 ) -> dict[int, Iterator[int]]:
     """Block ``block``'s endless digit iterator for each bound of
     ``draws`` (bound -> per-sample draw bound): the base-b digits of the
     stream derived from block ``block``'s stream with index b, drawn in
-    batches of ``_batch_sizes`` digits."""
+    batches of ``_batch_sizes`` digits, from digit ``skip`` on."""
     state = derived_stream(seed, block)._state
-    return {
-        bound: chain.from_iterable(
-            _Batches(derived_stream(state, bound)._state, bound, size)
-        )
-        for bound, size in _batch_sizes(draws).items()
-    }
+    streams = {}
+    for bound, size in _batch_sizes(draws).items():
+        start, drop = _skip(derived_stream(state, bound)._state, bound, skip)
+        digits = chain.from_iterable(_Batches(start, bound, size))
+        next(islice(digits, drop, drop), None)
+        streams[bound] = digits
+    return streams
 
 
 def _chain_block(
@@ -436,9 +485,13 @@ def _chain_block(
 
 
 def _maxfiber_block(
-    n: int, seed: int, block: int, count: int
+    n: int, seed: int, block: int, count: int, first: int = 0
 ) -> tuple[int, int]:
-    stream = _digit_streams(seed, block, {n: n})[n]
+    """Sum and square-sum of the largest fiber over samples ``first`` to
+    ``first + count - 1`` of one block.  Every sample takes n digits of
+    the block's one digit stream, so sample ``first`` starts at digit
+    ``first * n``, which ``_skip`` reaches without drawing."""
+    stream = _digit_streams(seed, block, {n: n}, first * n)[n]
     total = 0
     total_sq = 0
     for _ in range(count):
@@ -448,65 +501,101 @@ def _maxfiber_block(
     return total, total_sq
 
 
-def _check_draws(samples: int, per_sample: int, what: str) -> int:
-    """The most values a run may draw; a run that may draw more than
-    ``MAX_DRAWS`` is refused, before any drawing.  A huge count is not
-    printed (``str`` limits digits)."""
+def _check_draws(samples: int, per_sample: int, what: str) -> None:
+    """Refuse a run that may draw more than ``MAX_DRAWS`` values, before
+    any drawing.  A huge count is not printed (``str`` limits digits)."""
     draws = samples * per_sample
-    if draws <= MAX_DRAWS:
-        return draws
-    needs = str(draws) if draws < 10**100 else "more than 10^100"
-    raise BudgetExceededError(
-        f"{what} may need {needs} random draws, cap is {MAX_DRAWS}"
-    )
+    if draws > MAX_DRAWS:
+        needs = str(draws) if draws < 10**100 else "more than 10^100"
+        raise BudgetExceededError(
+            f"{what} may need {needs} random draws, cap is {MAX_DRAWS}"
+        )
 
 
-def _workers(blocks: int, draws: int) -> int:
-    """Processes a run of ``blocks`` blocks and at most ``draws`` draws
-    is split over: one per usable CPU (the affinity mask, which
-    ``taskset`` limits), at most one per block.  One for a run of fewer
-    than ``_FORK_DRAWS`` draws, where there is no ``os.fork``, or where
-    another thread is alive, which a forked child would not have
-    (Python 3.12 warns on such a fork); ``threading`` is looked at only
-    if it was imported."""
+def _smallest_share(samples: int, workers: int, split: bool) -> int:
+    """Samples in the smallest of the ``workers`` shares ``_pieces``
+    deals.  Split shares differ by at most one sample.  Dealt whole
+    blocks round-robin, every worker holds blocks // workers blocks or
+    one more; the last block, partly filled, goes to worker (blocks - 1)
+    % workers, which holds the fewest only when all hold as many."""
+    if split:
+        return samples // workers
+    blocks = -(-samples // BLOCK_SAMPLES)
+    least = blocks // workers * BLOCK_SAMPLES
+    if blocks % workers == 0:
+        least -= blocks * BLOCK_SAMPLES - samples
+    return least
+
+
+def _workers(samples: int, per_sample: int, split: bool) -> int:
+    """Processes a run of ``samples`` samples of at most ``per_sample``
+    draws each is split over: one per usable CPU (the affinity mask,
+    which ``taskset`` limits), but at most one per sample of a split run
+    or per block of a whole-block one, and few enough
+    that the smallest share may draw at least ``_FORK_DRAWS`` values.
+    One where there is no ``os.fork``, or where another thread is alive,
+    which a forked child would not have (Python 3.12 warns on such a
+    fork); ``threading`` is looked at only if it was imported."""
     threading = sys.modules.get("threading")
-    if (
-        blocks < 2
-        or draws < _FORK_DRAWS
-        or not hasattr(os, "fork")
-        or (threading is not None and threading.active_count() > 1)
+    if not hasattr(os, "fork") or (
+        threading is not None and threading.active_count() > 1
     ):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(blocks, cpus)
+    units = samples if split else -(-samples // BLOCK_SAMPLES)
+    workers = min(cpus, units)
+    while (
+        workers > 1
+        and _smallest_share(samples, workers, split) * per_sample
+        < _FORK_DRAWS
+    ):
+        workers -= 1
+    return workers
+
+
+def _pieces(
+    samples: int, worker: int, workers: int, split: bool
+) -> Iterator[tuple[int, int, int]]:
+    """The share of worker ``worker`` of ``workers``, block by block:
+    (block, count, first) for samples ``first`` to ``first + count - 1``
+    of block ``block``.  A split run deals contiguous shares of samples:
+    worker w takes samples floor(w * samples / workers) on, up to where
+    worker w + 1 starts, so a share may start and end inside a block.  A
+    whole-block run deals its blocks round-robin: worker w takes every
+    ``workers``-th block from block w on."""
+    if split:
+        start = samples * worker // workers
+        end = samples * (worker + 1) // workers
+        blocks = range(start // BLOCK_SAMPLES, -(-end // BLOCK_SAMPLES))
+    else:
+        start, end = 0, samples
+        blocks = range(worker, -(-samples // BLOCK_SAMPLES), workers)
+    for block in blocks:
+        offset = block * BLOCK_SAMPLES
+        first = max(start - offset, 0)
+        yield block, min(end - offset, BLOCK_SAMPLES) - first, first
 
 
 def _share(
-    block_fn: Callable[[int, int], tuple[int, int]],
-    samples: int,
-    worker: int,
-    workers: int,
+    block_fn: Callable[[int, int, int], tuple[int, int]],
+    pieces: Iterable[tuple[int, int, int]],
     parent: int,
 ) -> tuple[int, int]:
-    """Totals of ``block_fn(block, count)`` over the blocks of worker
-    ``worker`` of ``workers``: every ``workers``-th block from block
-    ``worker`` on.  Process ``parent`` runs the run; a worker it forked
-    stops at the next block once that process is gone (its parent is no
+    """Totals of ``block_fn(block, count, first)`` over the ``pieces`` of
+    one share.  Process ``parent`` runs the run; a worker it forked
+    stops at the next piece once that process is gone (its parent is no
     longer ``parent``), raising ``ProcessLookupError``."""
     total = 0
     total_sq = 0
-    blocks = -(-samples // BLOCK_SAMPLES)
-    for b in range(worker, blocks, workers):
+    for piece in pieces:
         if parent != os.getpid() and parent != os.getppid():
             raise ProcessLookupError(f"process {parent} is gone")
-        block_sum, block_sq = block_fn(
-            b, min(BLOCK_SAMPLES, samples - b * BLOCK_SAMPLES)
-        )
-        total += block_sum
-        total_sq += block_sq
+        piece_sum, piece_sq = block_fn(*piece)
+        total += piece_sum
+        total_sq += piece_sq
     return total, total_sq
 
 
@@ -567,24 +656,32 @@ def _worker_totals(pid: int, data: bytes, status: int) -> tuple[int, int]:
 
 
 def _run_blocks(
-    block_fn: Callable[[int, int], tuple[int, int]], samples: int, draws: int
+    block_fn: Callable[[int, int, int], tuple[int, int]],
+    samples: int,
+    per_sample: int,
+    split: bool = False,
 ) -> tuple[int, int]:
-    """Totals of ``block_fn(block, count)`` over the run's blocks, which
-    take at most ``draws`` draws.
+    """Totals of ``block_fn(block, count, first)``, the sums over samples
+    ``first`` to ``first + count - 1`` of block ``block``, over a run of
+    ``samples`` samples of at most ``per_sample`` draws each.
 
-    The blocks are dealt round-robin to ``_workers`` processes: this one
-    and workers forked from it, each sending back its two exact totals
-    (a share no worker could be forked for runs here).  A block's sums
-    depend only on the block, and integers add up the same in any
+    The run is dealt to ``_workers`` processes by ``_pieces``: in
+    contiguous shares of samples when ``split`` (``block_fn`` can start
+    a block at any sample), or in whole blocks round-robin, ``first``
+    then always 0.  This process runs share 0, which starts at sample 0,
+    and forked workers the others, each sending back its two exact
+    totals (a share no worker could be forked for runs here).  A piece's
+    sums depend only on its samples, and integers add up the same in any
     order, so the totals are those of the blocks run in order.  Every
-    worker is reaped before this returns or raises.  A worker's error
-    is raised here once all are reaped; on an error of this process's
-    own share, or an interrupt, the workers are killed first."""
-    workers = _workers(-(-samples // BLOCK_SAMPLES), draws)
+    worker is reaped before this returns or raises.  A worker's error is
+    raised here once all are reaped; on an error of this process's own
+    share, or an interrupt, the workers are killed first."""
+    workers = _workers(samples, per_sample, split)
     parent = os.getpid()
 
     def share(worker: int) -> tuple[int, int]:
-        return _share(block_fn, samples, worker, workers, parent)
+        pieces = _pieces(samples, worker, workers, split)
+        return _share(block_fn, pieces, parent)
 
     own = [0]
     children: dict[int, int] = {}  # pid -> read end of its pipe
@@ -638,13 +735,12 @@ def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
     if config.sizes is None:
         raise InvalidSizeError("config.sizes must be a ChainSpec")
     sizes = config.sizes.sizes
-    draws = _check_draws(
-        config.samples, sum(_chain_draws(sizes).values()), "chain sampling"
-    )
+    per_sample = sum(_chain_draws(sizes).values())
+    _check_draws(config.samples, per_sample, "chain sampling")
     total, total_sq = _run_blocks(
-        lambda b, c: _chain_block(sizes, config.seed, b, c),
+        lambda b, c, _: _chain_block(sizes, config.seed, b, c),
         config.samples,
-        draws,
+        per_sample,
     )
     mean, std_error = _mean_and_error(
         total, total_sq, config.samples, sizes[0]
@@ -673,11 +769,12 @@ def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
         raise InvalidSizeError(
             f"max-fiber estimation needs n >= 3, got {n}"
         )
-    draws = _check_draws(config.samples, n, "max-fiber sampling")
+    _check_draws(config.samples, n, "max-fiber sampling")
     total, total_sq = _run_blocks(
-        lambda b, c: _maxfiber_block(n, config.seed, b, c),
+        lambda b, c, first: _maxfiber_block(n, config.seed, b, c, first),
         config.samples,
-        draws,
+        n,
+        split=True,
     )
     mean, std_error = _mean_and_error(total, total_sq, config.samples, 1)
     ratio = float(mean) / (math.log(n) / math.log(math.log(n)))

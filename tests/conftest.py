@@ -46,9 +46,10 @@ def deadline():
 
 
 @pytest.fixture
-def capped_cli():
-    """Run one ``noninv`` call in a child process whose address space is
-    capped at ``CAPPED_BYTES``; returns (exit code, stdout, stderr).
+def capped_python():
+    """Run ``python ARGV...`` in a child process whose address space is
+    capped at ``CAPPED_BYTES``, with this package importable; returns
+    (exit code, stdout, stderr).
 
     The limit is set in the child only, so a call that would exhaust
     memory fails fast there with a MemoryError (exit 1) instead of
@@ -66,10 +67,21 @@ def capped_cli():
 
     def run(*argv):
         done = subprocess.run(
-            [sys.executable, "-m", "noninv.cli", *map(str, argv)],
+            [sys.executable, *map(str, argv)],
             env=env, preexec_fn=cap, capture_output=True, text=True,
             timeout=60,
         )
         return done.returncode, done.stdout, done.stderr
+
+    return run
+
+
+@pytest.fixture
+def capped_cli(capped_python):
+    """Run one ``noninv`` call under ``capped_python``'s cap; returns
+    (exit code, stdout, stderr)."""
+
+    def run(*argv):
+        return capped_python("-m", "noninv.cli", *argv)
 
     return run

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noninv import (
+    BudgetExceededError,
     EmptySetError,
     FiniteFunction,
     InvalidExponentError,
@@ -111,6 +112,36 @@ class TestFibers:
     @given(random_function())
     def test_fibers_sum_to_domain(self, f):
         assert sum(f.fiber_sizes()) == f.domain_size
+
+    def test_labels_capped(self):
+        # max(|X|, 2^20) labels are listed, one more is refused
+        cap = 1 << 20
+        assert len(constant_function(1, cap, 0).fiber_sizes()) == cap
+        with pytest.raises(BudgetExceededError, match="cap is"):
+            constant_function(1, cap + 1, 0).fiber_sizes()
+        f = constant_function(cap + 1, cap + 1, 0)
+        assert f.fiber_sizes()[:2] == (cap + 1, 0)
+        with pytest.raises(BudgetExceededError):
+            constant_function(cap + 1, cap + 2, 0).fiber_sizes()
+
+    def test_huge_codomain_refused(self, capped_python):
+        # one point and 10^9 labels: the degree and the largest fiber
+        # are counted by image, and the list of 10^9 fiber sizes (8 GB)
+        # is refused before it is allocated, in a child capped at 1 GiB
+        code, out, err = capped_python("-c", "\n".join([
+            "from noninv import BudgetExceededError, parse_function_text",
+            "f = parse_function_text('1 1000000000 : 1')",
+            "print(f.degree(), f.max_fiber())",
+            "try:",
+            "    f.fiber_sizes()",
+            "except BudgetExceededError as exc:",
+            "    print(exc)",
+        ]))
+        assert (code, err) == (0, "")
+        assert out == (
+            "1 1\nfiber_sizes() would list 1000000000 fiber sizes, "
+            "cap is max(domain size, 1048576) = 1048576\n"
+        )
 
 
 def plain_fibers(f):

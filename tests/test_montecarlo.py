@@ -230,6 +230,26 @@ class TestBatches:
         batches_of(monkeypatch, 1)
         assert _maxfiber_block(n, 11, 2, count) == expected
 
+    @pytest.mark.parametrize("n", [3, 7, 1001])
+    def test_maxfiber_pieces_add_up(self, monkeypatch, n):
+        # samples first..first+count-1 of a block, for a partition of
+        # the block into pieces that start at sample 0, inside a word
+        # and on a word's edge (below 1001, 6 digits a word: sample 6
+        # starts at digit 6006, a word's first)
+        whole = reference_maxfiber_block(n, 11, 2, 40)
+        for cuts in ([0, 40], [0, 1, 2, 6, 7, 23, 39, 40], [0, 20, 40]):
+            pieces = [
+                _maxfiber_block(n, 11, 2, end - first, first)
+                for first, end in zip(cuts, cuts[1:])
+            ]
+            assert tuple(map(sum, zip(*pieces))) == whole, cuts
+        assert _maxfiber_block(n, 11, 2, 0, 17) == (0, 0)
+        head = reference_maxfiber_block(n, 11, 2, 30)
+        batches_of(monkeypatch, 1)
+        assert _maxfiber_block(n, 11, 2, 10, 30) == (
+            whole[0] - head[0], whole[1] - head[1]
+        )
+
     @pytest.mark.parametrize("sizes, batches", [
         # 30 draws below 20, 14 digits a word: three words a batch
         ((30, 20), {20: 42}),
@@ -515,6 +535,66 @@ class TestBatchedWords:
             assert stream._state == reference._state
 
 
+class TestSkip:
+    """``_skip`` passes over the first digits of a stream without
+    extracting them; a ``_draw`` from where it stops, less the digits it
+    says to drop, reads on where one long ``_draw`` would."""
+
+    @staticmethod
+    def check(seed, bound, digits, monkeypatch, count=5):
+        """Compare a skip and a draw with one draw and with the
+        word-at-a-time reference; return the sizes of the skip's
+        rounds."""
+        rounds = []
+        mixed = montecarlo._mixed_lanes
+
+        def recording_mixed(state, n):
+            rounds.append(n)
+            return mixed(state, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_mixed_lanes", recording_mixed)
+            state, drop = montecarlo._skip(seed, bound, digits)
+        k = reference_digits(bound)
+        # the state after the accepted words that hold the digits whole
+        reference = SplitMix64(seed)
+        reference_draw(reference, bound, digits // k * k)
+        assert (state, drop) == (reference._state, digits % k)
+        end, tail = montecarlo._draw(state, bound, drop + count)
+        whole_end, whole = montecarlo._draw(seed, bound, digits + count)
+        assert end == whole_end and tail[drop:] == whole[digits:]
+        # no word is mixed past the last accepted one
+        assert sum(rounds) == words_between(seed, state)
+        return rounds
+
+    @pytest.mark.parametrize("digits", [0, 1, 39, 40, 41, 40 * 7 + 13])
+    def test_about_a_third_rejected(self, deadline, monkeypatch, digits):
+        # below 3 a word holds k = 40 digits and about 34% of the words
+        # are rejected, so a skip of several words takes several rounds;
+        # 0 and 1..39 digits skip no word, 41 cuts a word after 1 digit
+        assert reference_digits(3) == 40
+        for seed in range(8):
+            rounds = self.check(seed, 3, digits, monkeypatch)
+            assert (rounds == []) == (digits < 40)
+            assert all(r <= digits // 40 for r in rounds)
+
+    @pytest.mark.parametrize("bound", [2, 7, 1001, 10**4, 2**63 + 1, 2**64])
+    def test_cut_inside_a_word(self, deadline, monkeypatch, bound):
+        # 2 and 2^64 reject no word (threshold 2^64); 2^63 + 1 about half
+        k = reference_digits(bound)
+        for seed, digits in [(1, k // 2), (2, 3 * k + k // 2), (3, 5 * k)]:
+            self.check(seed, bound, digits, monkeypatch)
+
+    def test_more_than_one_round(self, deadline, monkeypatch):
+        # more accepted words than one round mixes: the first round is
+        # _LANES words, and later ones the accepted words still missing
+        for bound in (3, 2**63 + 1):
+            k = reference_digits(bound)
+            digits = (2 * LANES + 300) * k + 1
+            rounds = self.check(5, bound, digits, monkeypatch)
+            assert rounds[:2] == [LANES, LANES] and len(rounds) > 3
+
+
 class TestSampleFunction:
     def test_images_are_contract_draws(self):
         reference = SplitMix64(8)
@@ -749,7 +829,7 @@ class TestDrawCap:
         cap instead of drawing them."""
         ran = []
 
-        def run_blocks(block_fn, samples, draws):
+        def run_blocks(block_fn, samples, per_sample, split=False):
             ran.append(samples)
             return 0, 0
 
@@ -810,21 +890,22 @@ def no_child_left():
     return False
 
 
-def chain_block_failing(monkeypatch, failure, where):
-    """Make a chain block raise ``failure`` in a forked worker
-    (``where`` "worker") or in this process ("here"); the blocks of the
-    other side sleep for a minute ("here") or run as usual."""
+def block_failing(monkeypatch, name, failure, where):
+    """Make the block function ``name`` of the module raise ``failure``
+    in a forked worker (``where`` "worker") or in this process ("here");
+    the blocks of the other side sleep for a minute ("here") or run as
+    usual."""
     run_here = os.getpid()
-    block = montecarlo._chain_block
+    block = getattr(montecarlo, name)
 
-    def failing(sizes, seed, b, count):
+    def failing(*args):
         if (os.getpid() == run_here) == (where == "here"):
             raise failure
         if where == "here":
             time.sleep(60)
-        return block(sizes, seed, b, count)
+        return block(*args)
 
-    monkeypatch.setattr(montecarlo, "_chain_block", failing)
+    monkeypatch.setattr(montecarlo, name, failing)
 
 
 def cli_env():
@@ -838,15 +919,15 @@ def cli_env():
 
 
 # a run on two CPUs whose process exits once its one worker has started;
-# the worker writes its pid to {pid_file} and sleeps 50 ms a block, 10 s
-# in all if it does not stop
+# the worker writes its pid to {pid_file} and sleeps 50 ms a piece of
+# its share, 10 s in all if it does not stop
 ORPHAN_SCRIPT = """
 import os, time
 from noninv import montecarlo
 os.sched_getaffinity = lambda pid: {{0, 1}}
 run_here, pid_file = os.getpid(), {pid_file!r}
 
-def block_fn(b, count):
+def block_fn(b, count, first):
     if os.getpid() == run_here:
         while not os.path.exists(pid_file):
             time.sleep(0.01)
@@ -858,20 +939,35 @@ def block_fn(b, count):
     time.sleep(0.05)
     return 0, 0
 
-montecarlo._run_blocks(block_fn, 400 * montecarlo.BLOCK_SAMPLES, 10**8)
+montecarlo._run_blocks(block_fn, {samples}, 1, {split})
 """
 
 CHAIN_753 = SamplerConfig(seed=4, samples=2048, sizes=ChainSpec((7, 5, 3)))
+# one block of max-fiber samples: on two CPUs the worker's share starts
+# at sample 500, inside the block and inside a word (22 digits below 7)
+MAXFIBER_7 = SamplerConfig(seed=4, samples=1000)
+# a run of each block function, forked on two CPUs
+RUNS = {
+    "_chain_block": lambda: estimate_expected_degree_chain(CHAIN_753),
+    "_maxfiber_block": lambda: estimate_max_fiber_mean(7, MAXFIBER_7),
+}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestWorkers:
-    """Blocks dealt round-robin to forked workers give the serial report,
+    """Runs dealt in shares to forked workers give the serial report,
     and every worker is reaped on every way out of a run."""
 
     THREE_BLOCKS = [
         (estimate_expected_degree_chain, (7, 5, 3)),
         (estimate_max_fiber_mean, 7),
+    ]
+    # one block, split over the workers: below 1001 a word holds 6
+    # digits, so most shares start inside a word; below 3 it holds 40
+    # and about a third of the words are rejected
+    ONE_BLOCK = [
+        (estimate_max_fiber_mean, 1001, 100),
+        (estimate_max_fiber_mean, 3, 1000),
     ]
 
     @staticmethod
@@ -886,7 +982,8 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "estimate,size,samples",
         [(e, s, 1500) for e, s in TestBatches.CASES]
-        + [(e, s, 3000) for e, s in THREE_BLOCKS],
+        + [(e, s, 3000) for e, s in THREE_BLOCKS]
+        + ONE_BLOCK,
     )
     def test_reports_equal_serial(
         self, monkeypatch, cpus, estimate, size, samples
@@ -896,42 +993,99 @@ class TestWorkers:
             serial = self.report(estimate, size, samples)
         forks = use_cpus(monkeypatch, cpus)
         assert self.report(estimate, size, samples) == serial
-        blocks = -(-samples // BLOCK_SAMPLES)
-        assert (len(serial_forks), len(forks)) == (0, min(cpus, blocks) - 1)
+        # a max-fiber run is dealt one worker per CPU up to one per
+        # sample, a chain run up to one per block
+        if estimate is estimate_max_fiber_mean:
+            workers = min(cpus, samples)
+        else:
+            workers = min(cpus, -(-samples // BLOCK_SAMPLES))
+        assert (len(serial_forks), len(forks)) == (0, workers - 1)
         assert no_child_left()
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_shares_cover_the_run(self, split):
+        # every sample of the run in exactly one piece: whole blocks
+        # round-robin, or contiguous shares of samples that differ by
+        # at most one; _smallest_share is the least
+        for samples in (1, 5, 1023, 1024, 1025, 3000, 5 * BLOCK_SAMPLES + 7):
+            blocks = -(-samples // BLOCK_SAMPLES)
+            for workers in range(1, 1 + min(9, samples if split else blocks)):
+                shares = [
+                    list(montecarlo._pieces(samples, w, workers, split))
+                    for w in range(workers)
+                ]
+                run = [
+                    b * BLOCK_SAMPLES + first + j
+                    for share in shares
+                    for b, count, first in share
+                    for j in range(count)
+                ]
+                sizes = [sum(c for _, c, _ in share) for share in shares]
+                assert min(sizes) == montecarlo._smallest_share(
+                    samples, workers, split
+                )
+                if split:
+                    assert run == list(range(samples))
+                    assert max(sizes) - min(sizes) <= 1
+                else:
+                    assert sorted(run) == list(range(samples))
+                    assert all(f == 0 for s in shares for _, _, f in s)
+                    assert [[b for b, _, _ in s] for s in shares] == [
+                        list(range(w, blocks, workers))
+                        for w in range(workers)
+                    ]
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (4, 3)])
     def test_workers_from_affinity(self, monkeypatch, cpus, workers):
+        # at most one worker per block of a whole-block run, per sample
+        # of a split one
         use_cpus(monkeypatch, cpus)
-        assert montecarlo._workers(3, 0) == workers
-        assert montecarlo._workers(1, 0) == 1
+        assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == workers
+        assert montecarlo._workers(BLOCK_SAMPLES, 1, False) == 1
+        assert montecarlo._workers(3, 1, True) == workers
+        assert montecarlo._workers(1, 1, True) == 1
 
-    def test_small_runs_stay_here(self, monkeypatch):
-        forks = use_cpus(monkeypatch, 4)
-        gate = 1 << 16
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_small_runs_stay_here(self, monkeypatch, cpus):
+        # as many workers as leave the smallest share at least
+        # _FORK_DRAWS = 2^15 draws.  --sizes 2,2 draws 2 a sample: at
+        # 32,768 samples (32 blocks) two shares of 16 blocks draw 2^15
+        # each, three or four draw less; at 32,767 two would draw 2^15
+        # - 2.  50,50,50,50 draws at most 150 a sample: at 1,025 samples
+        # the second share holds one.  Max-fiber --n 10000: a share of
+        # three samples draws 30,000 values, of four 40,000
+        gate = montecarlo._FORK_DRAWS
+        assert gate == 1 << 15
+        forks = use_cpus(monkeypatch, cpus)
         monkeypatch.setattr(montecarlo, "_FORK_DRAWS", gate)
-        assert montecarlo._workers(3, gate - 1) == 1
-        assert montecarlo._workers(3, gate) == 3
-        # 2 draws a sample: 32,767 samples stay here, 32,768 fork
-        for samples, forked in [(gate // 2 - 1, 0), (gate // 2, 3)]:
+        for sizes, samples, forked in [
+            ((2, 2), 32_768, 1),
+            ((2, 2), 32_767, 0),
+            ((50,) * 4, 1025, 0),
+        ]:
+            forks.clear()
             estimate_expected_degree_chain(
-                SamplerConfig(seed=1, samples=samples, sizes=ChainSpec((2, 2)))
+                SamplerConfig(seed=1, samples=samples, sizes=ChainSpec(sizes))
             )
-            assert len(forks) == forked
+            assert len(forks) == forked, (sizes, samples)
+        assert montecarlo._workers(100, 10**4, True) == cpus
+        assert montecarlo._workers(7, 10**4, True) == 1
+        assert montecarlo._workers(8, 10**4, True) == 2
+        assert montecarlo._workers(15, 10**4, True) == min(cpus, 3)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert montecarlo._workers(5, 0) == 3
+        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, False) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert montecarlo._workers(5, 0) == 1
+        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, False) == 1
 
     def test_serial_without_fork(self, monkeypatch):
         use_cpus(monkeypatch, 4)
         serial = estimate_expected_degree_chain(CHAIN_753)
         monkeypatch.delattr(os, "fork")
-        assert montecarlo._workers(3, 0) == 1
+        assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == 1
         assert estimate_expected_degree_chain(CHAIN_753) == serial
 
     def test_serial_while_a_thread_lives(self, monkeypatch):
@@ -942,7 +1096,7 @@ class TestWorkers:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert montecarlo._workers(3, 0) == 1
+            assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == 1
             assert estimate_expected_degree_chain(CHAIN_753) == serial
         finally:
             done.set()
@@ -959,66 +1113,92 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", refused)
         assert estimate_expected_degree_chain(CHAIN_753) == serial
 
+    @pytest.mark.parametrize("block", RUNS)
     @pytest.mark.parametrize("failure", [
         InvalidSizeError("from a worker"), MemoryError(), KeyboardInterrupt(),
     ])
-    def test_worker_error_raised_here(self, deadline, monkeypatch, failure):
+    def test_worker_error_raised_here(
+        self, deadline, monkeypatch, failure, block
+    ):
         use_cpus(monkeypatch, 2)
-        chain_block_failing(monkeypatch, failure, "worker")
+        block_failing(monkeypatch, block, failure, "worker")
         with pytest.raises(type(failure)) as raised:
-            estimate_expected_degree_chain(CHAIN_753)
+            RUNS[block]()
         assert raised.value.args == failure.args
         assert no_child_left()
 
-    def test_killed_worker(self, deadline, monkeypatch):
+    @pytest.mark.parametrize("block", RUNS)
+    def test_killed_worker(self, deadline, monkeypatch, block):
         # a worker killed by a signal writes neither totals nor an error
         use_cpus(monkeypatch, 2)
         run_here = os.getpid()
-        block = montecarlo._chain_block
+        run_block = getattr(montecarlo, block)
 
-        def killed(sizes, seed, b, count):
+        def killed(*args):
             if os.getpid() != run_here:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return block(sizes, seed, b, count)
+            return run_block(*args)
 
-        monkeypatch.setattr(montecarlo, "_chain_block", killed)
+        monkeypatch.setattr(montecarlo, block, killed)
         killed_status = f"status {-signal.SIGKILL}"
         with pytest.raises(ChildProcessError, match=killed_status):
-            estimate_expected_degree_chain(CHAIN_753)
+            RUNS[block]()
         assert no_child_left()
 
+    @pytest.mark.parametrize("block", RUNS)
     @pytest.mark.parametrize("failure", [
         InvalidSizeError("from this process"), KeyboardInterrupt(),
     ])
-    def test_own_error_kills_the_workers(self, deadline, monkeypatch, failure):
+    def test_own_error_kills_the_workers(
+        self, deadline, monkeypatch, failure, block
+    ):
         # the worker's block sleeps for a minute; the run must end at
         # once, its worker killed and reaped
         use_cpus(monkeypatch, 2)
-        chain_block_failing(monkeypatch, failure, "here")
+        block_failing(monkeypatch, block, failure, "here")
         with pytest.raises(type(failure)):
-            estimate_expected_degree_chain(CHAIN_753)
+            RUNS[block]()
         assert no_child_left()
 
-    def test_orphaned_share_stops(self):
+    def test_mid_block_share(self):
+        # the max-fiber worker of RUNS starts inside the block
+        assert list(montecarlo._pieces(1000, 1, 2, True)) == [(0, 500, 500)]
+
+    @pytest.mark.parametrize("split, pieces", [
+        # round-robin blocks 1 and 3 of five
+        (False, [(1, 1024, 0), (3, 1024, 0)]),
+        # samples 2,500..4,999: from inside block 2 to the end
+        (True, [(2, 572, 452), (3, 1024, 0), (4, 904, 0)]),
+    ])
+    def test_orphaned_share_stops(self, split, pieces):
         # -1 is neither this process nor its parent, as the run's
         # process is not once it is gone
         ran = []
 
-        def block_fn(b, count):
-            ran.append(b)
+        def block_fn(b, count, first):
+            ran.append((b, count, first))
             return 0, 0
 
+        share = montecarlo._pieces(5000, 1, 2, split)
         with pytest.raises(ProcessLookupError):
-            montecarlo._share(block_fn, 5000, 1, 2, -1)
+            montecarlo._share(block_fn, share, -1)
         assert ran == []
-        assert montecarlo._share(block_fn, 5000, 1, 2, os.getpid()) == (0, 0)
-        assert ran == [1, 3]
+        share = montecarlo._pieces(5000, 1, 2, split)
+        assert montecarlo._share(block_fn, share, os.getpid()) == (0, 0)
+        assert ran == pieces
 
-    def test_orphaned_worker_stops(self, tmp_path):
-        # the run's process exits while its worker sleeps through 200
-        # blocks of 50 ms; the worker must stop at its next block, which
-        # closes the output pipes it inherited and ends subprocess.run
-        script = ORPHAN_SCRIPT.format(pid_file=str(tmp_path / "worker"))
+    # whole blocks, or a worker that starts inside block 200
+    @pytest.mark.parametrize("samples, split", [
+        (400 * BLOCK_SAMPLES, False), (400 * BLOCK_SAMPLES + 512, True),
+    ])
+    def test_orphaned_worker_stops(self, tmp_path, samples, split):
+        # the run's process exits while its worker sleeps through about
+        # 200 pieces of 50 ms; the worker must stop at its next piece,
+        # which closes the output pipes it inherited and ends
+        # subprocess.run
+        script = ORPHAN_SCRIPT.format(
+            pid_file=str(tmp_path / "worker"), samples=samples, split=split
+        )
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-c", script], env=cli_env(),
@@ -1029,19 +1209,25 @@ class TestWorkers:
         assert int((tmp_path / "worker").read_text()) > 0
         assert elapsed < 5
 
-    def test_interrupted_cli_leaves_no_process(self):
+    @pytest.mark.parametrize("argv", [
+        # whole blocks, about 10 s in one process
+        ["chain", "--sizes", "50,50,50,50", "--samples", "600000"],
+        # one block, about 25 s in one process; the worker skips half
+        # of it, for over a second, before its first sample
+        ["maxfiber", "--n", "100000", "--samples", "1000"],
+    ])
+    def test_interrupted_cli_leaves_no_process(self, argv):
         # Ctrl-C reaches the whole process group, the run and its
         # workers; the run ends as a serial one does, and no process of
         # the group is left
         proc = subprocess.Popen(
-            [sys.executable, "-m", "noninv.cli", "simulate", "chain",
-             "--sizes", "50,50,50,50", "--samples", "600000", "--seed", "1",
-             "--json"],
+            [sys.executable, "-m", "noninv.cli", "simulate", *argv,
+             "--seed", "1", "--json"],
             env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             start_new_session=True,
         )
         try:
-            # a cold start takes about 0.1 s, the run about 10 s
+            # a cold start takes about 0.1 s
             time.sleep(1)
             os.killpg(proc.pid, signal.SIGINT)
             out, _ = proc.communicate(timeout=30)
