@@ -286,6 +286,8 @@ def _cmd_verify_chain(args) -> _Output:
 def _cmd_verify_degq(args) -> _Output:
     budget = EnumerationBudget(args.budget)
     n, m = args.n, args.m
+    # the closed form at q reads Stirling rows up to q
+    check_stirling_rows(args.qmax)
     checks = _Checks()
     for q in range(1, args.qmax + 1):
         params = {"n": n, "m": m, "q": q}
@@ -406,7 +408,7 @@ def _cmd_bounds(args) -> _Output:
 
 def _cmd_stirling(args) -> _Output:
     if args.transform is not None:
-        seq = list(_parse_ints(args.transform, "parts"))
+        seq = list(_parse_ints(args.transform, "transform"))
         out = stirling_transform(seq)
         _check_printable(Fraction(max(map(abs, out))))
         return _Output(

@@ -39,19 +39,20 @@ Per-block partial sums are exact integers, so their total is the same
 in any order.  The block size is part of the stream contract: changing
 it changes the report.
 
-Where ``os.fork`` exists, a run is dealt in shares to one process per
-usable CPU (``_run_blocks``): the calling process and workers forked
-from it, each sending back its two exact totals.  A max-fiber sample
-takes a fixed n digits, so sample j of a block starts at digit j * n of
-its digit stream, and the run is dealt in contiguous shares of samples,
-which may start and end inside a block.  A worker whose share starts
-inside a block skips the digits before it (``_skip``): it mixes the
-words that hold them and counts the rejected ones, but extracts no
-digit: at n = 10^4 that takes about a tenth of the time drawing them
-would, and less where a word holds more digits.  A chain sample takes as many draws as the
-images of its maps have points, so a chain run is dealt whole blocks,
-round-robin.  Fewer workers are used where a share would draw fewer
-than ``_FORK_DRAWS`` values.  The report is the same for any number of
+Where ``os.fork`` exists, a run is dealt to one process per usable CPU
+(``_run_blocks``): the calling process and workers forked from it, each
+sending back its two exact totals.  The run is cut into units of a
+grain of samples, the last one maybe short, and each process takes a
+contiguous share of whole units (``_share_bounds``).  A chain sample
+takes as many draws as the images of its maps have points, so a chain
+run's grain is a block.  A max-fiber sample takes n digits, so sample j
+of a block starts at digit j * n of its digit stream; a max-fiber run's
+grain is one sample, and a share may start inside a block.  Its worker
+skips the digits before it (``_skip``): it mixes the words that hold
+them and counts the rejected ones, but extracts no digit, in about a
+tenth of the time drawing them would take at n = 10^4.  Fewer workers
+are used where the smallest share would draw fewer than
+``_FORK_DRAWS`` values.  The report is the same for any number of
 workers; how samples are spread over processes is not part of the
 contract.
 
@@ -130,10 +131,10 @@ STREAM_CONTRACT = 4
 # workers share it: 50,50,50,50 at 10^5 samples (1.5e7 draws) took
 # 1.6 s on two CPUs against 2.8 s in one process, cold
 MAX_DRAWS = 10**8
-# fewer workers are used where a share would draw fewer values, and
-# none where a second share would: a fork costs more than a nearly
-# empty share saves.  Cold calls with every run forked against none on a
-# 2-core VM (fresh bytecode, medians of 21 alternating pairs):
+# fewer workers are used where the smallest share would draw fewer
+# values, and none where a second share would: a fork costs more than a
+# nearly empty share saves.  Cold calls with every run forked against
+# none on a 2-core VM (fresh bytecode, medians of 21 alternating pairs):
 # --sizes 2,2 at 8,192 samples (8,192 draws a share) took 67.2 against
 # 69.7 ms, forked faster in 20 of 21 pairs, and at 32,768 samples 99.0
 # against 118.8 (20 of 21); max-fiber samples draw faster, and n = 1000
@@ -141,8 +142,8 @@ MAX_DRAWS = 10**8
 # 21), at 64 samples 66.2 against 67.3 (12 of 21) and at 256 samples
 # 96.2 against 97.2 (16 of 21).  At 2^15 on two CPUs, --sizes 2,2
 # forks from 32,768 samples and max-fiber runs at n = 1000 from 66,
-# while --sizes 50,50,50,50 at 1,025 samples, whose second share would
-# hold one sample, runs in one process
+# while --sizes 50,50,50,50 at 1,025 samples, whose second share, the
+# short last block, would hold one sample, runs in one process
 _FORK_DRAWS = 1 << 15
 # the batches of a block's digit streams hold at most this many digits
 # beyond one word per bound, so a sample holds its fiber counts and the
@@ -512,30 +513,30 @@ def _check_draws(samples: int, per_sample: int, what: str) -> None:
         )
 
 
-def _smallest_share(samples: int, workers: int, split: bool) -> int:
-    """Samples in the smallest of the ``workers`` shares ``_pieces``
-    deals.  Split shares differ by at most one sample.  Dealt whole
-    blocks round-robin, every worker holds blocks // workers blocks or
-    one more; the last block, partly filled, goes to worker (blocks - 1)
-    % workers, which holds the fewest only when all hold as many."""
-    if split:
-        return samples // workers
-    blocks = -(-samples // BLOCK_SAMPLES)
-    least = blocks // workers * BLOCK_SAMPLES
-    if blocks % workers == 0:
-        least -= blocks * BLOCK_SAMPLES - samples
-    return least
+def _share_bounds(
+    samples: int, worker: int, workers: int, grain: int
+) -> tuple[int, int]:
+    """Samples ``start`` to ``end - 1`` of the run, the share of worker
+    ``worker`` of ``workers``: the run is cut into U = ceil(samples /
+    grain) units of ``grain`` samples, the last one maybe short, and
+    worker w takes units floor(w * U / workers) on, up to where worker
+    w + 1 starts."""
+    units = -(-samples // grain)
+    start = units * worker // workers * grain
+    end = units * (worker + 1) // workers * grain
+    # only the last share can reach past the short last unit
+    return start, min(end, samples)
 
 
-def _workers(samples: int, per_sample: int, split: bool) -> int:
+def _workers(samples: int, per_sample: int, grain: int) -> int:
     """Processes a run of ``samples`` samples of at most ``per_sample``
-    draws each is split over: one per usable CPU (the affinity mask,
-    which ``taskset`` limits), but at most one per sample of a split run
-    or per block of a whole-block one, and few enough
-    that the smallest share may draw at least ``_FORK_DRAWS`` values.
-    One where there is no ``os.fork``, or where another thread is alive,
-    which a forked child would not have (Python 3.12 warns on such a
-    fork); ``threading`` is looked at only if it was imported."""
+    draws each is dealt to in units of ``grain`` samples: one per usable
+    CPU (the affinity mask, which ``taskset`` limits), but at most one
+    per unit, and few enough that the smallest share may draw at least
+    ``_FORK_DRAWS`` values.  One where there is no ``os.fork``, or where
+    another thread is alive, which a forked child would not have (Python
+    3.12 warns on such a fork); ``threading`` is looked at only if it
+    was imported."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (
         threading is not None and threading.active_count() > 1
@@ -545,35 +546,28 @@ def _workers(samples: int, per_sample: int, split: bool) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    units = samples if split else -(-samples // BLOCK_SAMPLES)
-    workers = min(cpus, units)
-    while (
-        workers > 1
-        and _smallest_share(samples, workers, split) * per_sample
-        < _FORK_DRAWS
-    ):
+    workers = min(cpus, -(-samples // grain))
+    while workers > 1:
+        bounds = [
+            _share_bounds(samples, w, workers, grain) for w in range(workers)
+        ]
+        least = min(end - start for start, end in bounds)
+        if least * per_sample >= _FORK_DRAWS:
+            break
         workers -= 1
     return workers
 
 
 def _pieces(
-    samples: int, worker: int, workers: int, split: bool
+    samples: int, worker: int, workers: int, grain: int
 ) -> Iterator[tuple[int, int, int]]:
-    """The share of worker ``worker`` of ``workers``, block by block:
-    (block, count, first) for samples ``first`` to ``first + count - 1``
-    of block ``block``.  A split run deals contiguous shares of samples:
-    worker w takes samples floor(w * samples / workers) on, up to where
-    worker w + 1 starts, so a share may start and end inside a block.  A
-    whole-block run deals its blocks round-robin: worker w takes every
-    ``workers``-th block from block w on."""
-    if split:
-        start = samples * worker // workers
-        end = samples * (worker + 1) // workers
-        blocks = range(start // BLOCK_SAMPLES, -(-end // BLOCK_SAMPLES))
-    else:
-        start, end = 0, samples
-        blocks = range(worker, -(-samples // BLOCK_SAMPLES), workers)
-    for block in blocks:
+    """The share of worker ``worker`` of ``workers`` (``_share_bounds``),
+    block by block: (block, count, first) for samples ``first`` to
+    ``first + count - 1`` of block ``block``.  A share may start and end
+    inside a block unless ``grain`` is a multiple of ``BLOCK_SAMPLES``;
+    then ``first`` is always 0."""
+    start, end = _share_bounds(samples, worker, workers, grain)
+    for block in range(start // BLOCK_SAMPLES, -(-end // BLOCK_SAMPLES)):
         offset = block * BLOCK_SAMPLES
         first = max(start - offset, 0)
         yield block, min(end - offset, BLOCK_SAMPLES) - first, first
@@ -659,28 +653,29 @@ def _run_blocks(
     block_fn: Callable[[int, int, int], tuple[int, int]],
     samples: int,
     per_sample: int,
-    split: bool = False,
+    grain: int,
 ) -> tuple[int, int]:
     """Totals of ``block_fn(block, count, first)``, the sums over samples
     ``first`` to ``first + count - 1`` of block ``block``, over a run of
     ``samples`` samples of at most ``per_sample`` draws each.
 
-    The run is dealt to ``_workers`` processes by ``_pieces``: in
-    contiguous shares of samples when ``split`` (``block_fn`` can start
-    a block at any sample), or in whole blocks round-robin, ``first``
-    then always 0.  This process runs share 0, which starts at sample 0,
-    and forked workers the others, each sending back its two exact
-    totals (a share no worker could be forked for runs here).  A piece's
-    sums depend only on its samples, and integers add up the same in any
-    order, so the totals are those of the blocks run in order.  Every
-    worker is reaped before this returns or raises.  A worker's error is
-    raised here once all are reaped; on an error of this process's own
-    share, or an interrupt, the workers are killed first."""
-    workers = _workers(samples, per_sample, split)
+    The run is dealt to ``_workers`` processes by ``_pieces``, in
+    contiguous shares of whole units of ``grain`` samples: 1 where
+    ``block_fn`` can start a block at any sample, ``BLOCK_SAMPLES``
+    where it runs whole blocks only, ``first`` then always 0.  This
+    process runs share 0, which starts at sample 0, and forked workers
+    the others, each sending back its two exact totals (a share no
+    worker could be forked for runs here).  A piece's sums depend only
+    on its samples, and integers add up the same in any order, so the
+    totals are those of the blocks run in order.  Every worker is reaped
+    before this returns or raises.  A worker's error is raised here once
+    all are reaped; on an error of this process's own share, or an
+    interrupt, the workers are killed first."""
+    workers = _workers(samples, per_sample, grain)
     parent = os.getpid()
 
     def share(worker: int) -> tuple[int, int]:
-        pieces = _pieces(samples, worker, workers, split)
+        pieces = _pieces(samples, worker, workers, grain)
         return _share(block_fn, pieces, parent)
 
     own = [0]
@@ -741,6 +736,7 @@ def estimate_expected_degree_chain(config: SamplerConfig) -> EstimateReport:
         lambda b, c, _: _chain_block(sizes, config.seed, b, c),
         config.samples,
         per_sample,
+        BLOCK_SAMPLES,
     )
     mean, std_error = _mean_and_error(
         total, total_sq, config.samples, sizes[0]
@@ -774,7 +770,7 @@ def estimate_max_fiber_mean(n: int, config: SamplerConfig) -> EstimateReport:
         lambda b, c, first: _maxfiber_block(n, config.seed, b, c, first),
         config.samples,
         n,
-        split=True,
+        1,
     )
     mean, std_error = _mean_and_error(total, total_sq, config.samples, 1)
     ratio = float(mean) / (math.log(n) / math.log(math.log(n)))

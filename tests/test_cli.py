@@ -360,6 +360,14 @@ class TestStirling:
         assert code == 0
         assert out.strip() == "1 2 5"
 
+    def test_transform_not_integers(self, capsys):
+        # the message names the option the text came from
+        code, out, err = invoke(capsys, "stirling", "--transform", ",")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: transform must be comma-separated integers, got ','\n"
+        )
+
     @pytest.mark.parametrize("kind", ["second", "first", "first-signed"])
     def test_text_lines_match_json_triangle(self, capsys, kind):
         code, out, _ = invoke(capsys, "stirling", "--kind", kind,
@@ -593,6 +601,15 @@ class TestClosedFormCaps:
         err = self.refused(capsys, "verify", "corollary", "--qmax", "601",
                            "--budget", str(10**9))
         assert "exceed the cap of 600 rows" in err
+
+    @pytest.mark.parametrize("qmax", [601, 700, 10**8])
+    def test_degq_past_row_cap(self, capsys, deadline, refuse_growth, qmax):
+        # refused before q = 1 is checked, not after 600 closed forms
+        err = self.refused(capsys, "verify", "degq", "--n", "2", "--m", "2",
+                           "--qmax", str(qmax))
+        assert err == (
+            f"error: Stirling rows up to {qmax} exceed the cap of 600 rows\n"
+        )
 
 
 class TestBounds:

@@ -829,7 +829,7 @@ class TestDrawCap:
         cap instead of drawing them."""
         ran = []
 
-        def run_blocks(block_fn, samples, per_sample, split=False):
+        def run_blocks(block_fn, samples, per_sample, grain):
             ran.append(samples)
             return 0, 0
 
@@ -939,7 +939,7 @@ def block_fn(b, count, first):
     time.sleep(0.05)
     return 0, 0
 
-montecarlo._run_blocks(block_fn, {samples}, 1, {split})
+montecarlo._run_blocks(block_fn, {samples}, 1, {grain})
 """
 
 CHAIN_753 = SamplerConfig(seed=4, samples=2048, sizes=ChainSpec((7, 5, 3)))
@@ -1002,16 +1002,33 @@ class TestWorkers:
         assert (len(serial_forks), len(forks)) == (0, workers - 1)
         assert no_child_left()
 
-    @pytest.mark.parametrize("split", [False, True])
-    def test_shares_cover_the_run(self, split):
-        # every sample of the run in exactly one piece: whole blocks
-        # round-robin, or contiguous shares of samples that differ by
-        # at most one; _smallest_share is the least
+    @staticmethod
+    def reference_smallest_share(samples, workers, grain):
+        """The smallest share of the two dealings the one rule replaced:
+        contiguous shares of samples differ by at most one; whole blocks
+        dealt round-robin give every worker blocks // workers blocks or
+        one more, and the short last block goes to worker (blocks - 1) %
+        workers, which holds the fewest only when all hold as many."""
+        if grain == 1:
+            return samples // workers
+        blocks = -(-samples // BLOCK_SAMPLES)
+        least = blocks // workers * BLOCK_SAMPLES
+        if blocks % workers == 0:
+            least -= blocks * BLOCK_SAMPLES - samples
+        return least
+
+    @pytest.mark.parametrize("grain", [1, BLOCK_SAMPLES])
+    def test_shares_cover_the_run(self, grain):
+        # every sample of the run in exactly one piece, in order; every
+        # piece starts on a unit's edge, so a block-grain piece has
+        # first == 0 (the chain run drops it); shares differ by at most
+        # one unit, and the smallest is the one the replaced dealings
+        # had, so runs fork as many workers as before
         for samples in (1, 5, 1023, 1024, 1025, 3000, 5 * BLOCK_SAMPLES + 7):
-            blocks = -(-samples // BLOCK_SAMPLES)
-            for workers in range(1, 1 + min(9, samples if split else blocks)):
+            units = -(-samples // grain)
+            for workers in range(1, 1 + min(9, units)):
                 shares = [
-                    list(montecarlo._pieces(samples, w, workers, split))
+                    list(montecarlo._pieces(samples, w, workers, grain))
                     for w in range(workers)
                 ]
                 run = [
@@ -1020,30 +1037,53 @@ class TestWorkers:
                     for b, count, first in share
                     for j in range(count)
                 ]
-                sizes = [sum(c for _, c, _ in share) for share in shares]
-                assert min(sizes) == montecarlo._smallest_share(
-                    samples, workers, split
+                assert run == list(range(samples))
+                assert all(
+                    (b * BLOCK_SAMPLES + first) % grain == 0
+                    for share in shares
+                    for b, _, first in share
                 )
-                if split:
-                    assert run == list(range(samples))
-                    assert max(sizes) - min(sizes) <= 1
-                else:
-                    assert sorted(run) == list(range(samples))
-                    assert all(f == 0 for s in shares for _, _, f in s)
-                    assert [[b for b, _, _ in s] for s in shares] == [
-                        list(range(w, blocks, workers))
-                        for w in range(workers)
-                    ]
+                sizes = [sum(c for _, c, _ in share) for share in shares]
+                assert max(sizes) - min(sizes) <= grain
+                assert min(sizes) == self.reference_smallest_share(
+                    samples, workers, grain
+                )
+
+    @pytest.mark.parametrize("grain", [1, BLOCK_SAMPLES])
+    def test_fork_counts_unchanged(self, monkeypatch, grain):
+        # _workers, which takes the minimum over the share bounds,
+        # forks as many workers as the replaced dealings' smallest
+        # share allowed: runs of up to 69 samples and of block
+        # multiples plus or minus one, on 2, 3, 4 and 9 CPUs
+        gate = montecarlo._FORK_DRAWS
+        runs = [*range(1, 70)] + [
+            k * BLOCK_SAMPLES + d
+            for k in (1, 2, 3, 8, 9, 16, 31, 32, 33, 64, 100)
+            for d in (-1, 0, 1)
+        ]
+        for cpus in (2, 3, 4, 9):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                raising=False,
+            )
+            for samples, per_sample in product(runs, (1, 2, 150, 10**4)):
+                workers = min(cpus, -(-samples // grain))
+                while workers > 1 and self.reference_smallest_share(
+                    samples, workers, grain
+                ) * per_sample < gate:
+                    workers -= 1
+                assert (
+                    montecarlo._workers(samples, per_sample, grain) == workers
+                ), (cpus, samples, per_sample)
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (4, 3)])
     def test_workers_from_affinity(self, monkeypatch, cpus, workers):
-        # at most one worker per block of a whole-block run, per sample
-        # of a split one
+        # at most one worker per unit: per block of a block-grain run,
+        # per sample of a sample-grain one
         use_cpus(monkeypatch, cpus)
-        assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == workers
-        assert montecarlo._workers(BLOCK_SAMPLES, 1, False) == 1
-        assert montecarlo._workers(3, 1, True) == workers
-        assert montecarlo._workers(1, 1, True) == 1
+        for grain in (1, BLOCK_SAMPLES):
+            assert montecarlo._workers(3 * grain, 1, grain) == workers
+            assert montecarlo._workers(grain, 1, grain) == 1
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_small_runs_stay_here(self, monkeypatch, cpus):
@@ -1068,24 +1108,24 @@ class TestWorkers:
                 SamplerConfig(seed=1, samples=samples, sizes=ChainSpec(sizes))
             )
             assert len(forks) == forked, (sizes, samples)
-        assert montecarlo._workers(100, 10**4, True) == cpus
-        assert montecarlo._workers(7, 10**4, True) == 1
-        assert montecarlo._workers(8, 10**4, True) == 2
-        assert montecarlo._workers(15, 10**4, True) == min(cpus, 3)
+        assert montecarlo._workers(100, 10**4, 1) == cpus
+        assert montecarlo._workers(7, 10**4, 1) == 1
+        assert montecarlo._workers(8, 10**4, 1) == 2
+        assert montecarlo._workers(15, 10**4, 1) == min(cpus, 3)
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, False) == 3
+        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, BLOCK_SAMPLES) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, False) == 1
+        assert montecarlo._workers(5 * BLOCK_SAMPLES, 1, BLOCK_SAMPLES) == 1
 
     def test_serial_without_fork(self, monkeypatch):
         use_cpus(monkeypatch, 4)
         serial = estimate_expected_degree_chain(CHAIN_753)
         monkeypatch.delattr(os, "fork")
-        assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == 1
+        assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, BLOCK_SAMPLES) == 1
         assert estimate_expected_degree_chain(CHAIN_753) == serial
 
     def test_serial_while_a_thread_lives(self, monkeypatch):
@@ -1096,7 +1136,7 @@ class TestWorkers:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, False) == 1
+            assert montecarlo._workers(3 * BLOCK_SAMPLES, 1, BLOCK_SAMPLES) == 1
             assert estimate_expected_degree_chain(CHAIN_753) == serial
         finally:
             done.set()
@@ -1162,15 +1202,15 @@ class TestWorkers:
 
     def test_mid_block_share(self):
         # the max-fiber worker of RUNS starts inside the block
-        assert list(montecarlo._pieces(1000, 1, 2, True)) == [(0, 500, 500)]
+        assert list(montecarlo._pieces(1000, 1, 2, 1)) == [(0, 500, 500)]
 
-    @pytest.mark.parametrize("split, pieces", [
-        # round-robin blocks 1 and 3 of five
-        (False, [(1, 1024, 0), (3, 1024, 0)]),
+    @pytest.mark.parametrize("grain, pieces", [
+        # blocks 2, 3 and 4 of five, the last one short
+        (BLOCK_SAMPLES, [(2, 1024, 0), (3, 1024, 0), (4, 904, 0)]),
         # samples 2,500..4,999: from inside block 2 to the end
-        (True, [(2, 572, 452), (3, 1024, 0), (4, 904, 0)]),
+        (1, [(2, 572, 452), (3, 1024, 0), (4, 904, 0)]),
     ])
-    def test_orphaned_share_stops(self, split, pieces):
+    def test_orphaned_share_stops(self, grain, pieces):
         # -1 is neither this process nor its parent, as the run's
         # process is not once it is gone
         ran = []
@@ -1179,25 +1219,25 @@ class TestWorkers:
             ran.append((b, count, first))
             return 0, 0
 
-        share = montecarlo._pieces(5000, 1, 2, split)
+        share = montecarlo._pieces(5000, 1, 2, grain)
         with pytest.raises(ProcessLookupError):
             montecarlo._share(block_fn, share, -1)
         assert ran == []
-        share = montecarlo._pieces(5000, 1, 2, split)
+        share = montecarlo._pieces(5000, 1, 2, grain)
         assert montecarlo._share(block_fn, share, os.getpid()) == (0, 0)
         assert ran == pieces
 
     # whole blocks, or a worker that starts inside block 200
-    @pytest.mark.parametrize("samples, split", [
-        (400 * BLOCK_SAMPLES, False), (400 * BLOCK_SAMPLES + 512, True),
+    @pytest.mark.parametrize("samples, grain", [
+        (400 * BLOCK_SAMPLES, BLOCK_SAMPLES), (400 * BLOCK_SAMPLES + 512, 1),
     ])
-    def test_orphaned_worker_stops(self, tmp_path, samples, split):
+    def test_orphaned_worker_stops(self, tmp_path, samples, grain):
         # the run's process exits while its worker sleeps through about
         # 200 pieces of 50 ms; the worker must stop at its next piece,
         # which closes the output pipes it inherited and ends
         # subprocess.run
         script = ORPHAN_SCRIPT.format(
-            pid_file=str(tmp_path / "worker"), samples=samples, split=split
+            pid_file=str(tmp_path / "worker"), samples=samples, grain=grain
         )
         start = time.perf_counter()
         done = subprocess.run(
