@@ -9,7 +9,16 @@ Each ``_cmd_*`` handler returns an ``_Output`` and prints nothing.
 ``run`` is the only code that writes to stdout (the JSON envelope or
 the text lines) and the only code that picks the exit code: 1 iff the
 output's ``all_match`` is False, 2 on any ``NoninvError`` or
-``OSError``, else 0.
+``OSError``, else 0.  ``run`` flushes stdout before it returns, so a
+write that fails is an ``OSError`` too (exit 2), and an error message
+that stderr refuses still exits 2.
+
+``main``, the ``noninv`` entry point, flushes stdout and stderr once
+``run`` has returned and ends the process with ``os._exit``: interpreter
+teardown costs a cold call about as much as many commands' own work.
+Exit handlers and finalizers do not run there, so code that embeds the
+package calls ``run``.  An exception that escapes ``run`` takes the
+normal exit.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -627,9 +637,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush(stream) -> None:
+    # a standard stream is None where its descriptor was closed at start
+    if stream is not None:
+        stream.flush()
+
+
 def run(argv=None) -> int:
     """Parse argv, run the command and print its output; returns the
-    process exit code.  The only code that writes to stdout."""
+    process exit code.  The only code that writes to stdout, which it
+    flushes before it returns."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -649,14 +666,33 @@ def run(argv=None) -> int:
         else:
             for line in out.lines:
                 print(line)
+        _flush(sys.stdout)
     except (NoninvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr refuses writes; the exit code still tells
         return 2
     return 1 if out.all_match is False else 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run ``sys.argv`` and end the process with ``run``'s exit code.
+
+    Once ``run`` returns, stdout and stderr are flushed and the process
+    leaves through ``os._exit``, without interpreter teardown: no exit
+    handler or finalizer runs.  An exception that escapes ``run``,
+    Ctrl-C included, takes the normal exit with its traceback."""
+    code = run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            _flush(stream)
+        except OSError:
+            # bytes a failed write left behind: run reported a failed
+            # write of its output, and a message no stream takes (the
+            # argparse help, an error) changes no exit code
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -134,16 +134,19 @@ MAX_DRAWS = 10**8
 # fewer workers are used where the smallest share would draw fewer
 # values, and none where a second share would: a fork costs more than a
 # nearly empty share saves.  Cold calls with every run forked against
-# none on a 2-core VM (fresh bytecode, medians of 21 alternating pairs):
-# --sizes 2,2 at 8,192 samples (8,192 draws a share) took 67.2 against
-# 69.7 ms, forked faster in 20 of 21 pairs, and at 32,768 samples 99.0
-# against 118.8 (20 of 21); max-fiber samples draw faster, and n = 1000
-# at 32 samples (16,000 draws a share) took 65.2 against 61.7 ms (0 of
-# 21), at 64 samples 66.2 against 67.3 (12 of 21) and at 256 samples
-# 96.2 against 97.2 (16 of 21).  At 2^15 on two CPUs, --sizes 2,2
-# forks from 32,768 samples and max-fiber runs at n = 1000 from 66,
-# while --sizes 50,50,50,50 at 1,025 samples, whose second share, the
-# short last block, would hold one sample, runs in one process
+# none, both ending in os._exit, on a 2-core VM (fresh bytecode, medians
+# of 30 alternating pairs, each pair running every case once):
+# --sizes 2,2 at 8,192 samples (8,192 draws a share) took 111.8 against
+# 116.6 ms, forked faster in 21 of 30 pairs, and at 32,768 samples 168.8
+# against 219.4 (26 of 30); max-fiber samples draw faster, and n = 1000
+# at 32 samples (16,000 draws a share) took 88.6 against 96.7 ms (17 of
+# 30), at 64 samples 102.1 against 105.9 (21 of 30) and at 256 samples
+# 138.6 against 157.6 (29 of 30).  Below 2^15 draws a share, forking won
+# fewer than nine pairs in ten here and in two sets of 20 pairs.  At
+# 2^15 on two CPUs, --sizes 2,2 forks from 32,768 samples and max-fiber
+# runs at n = 1000 from 66, while --sizes 50,50,50,50 at 1,025 samples,
+# whose second share, the short last block, would hold one sample, runs
+# in one process
 _FORK_DRAWS = 1 << 15
 # the batches of a block's digit streams hold at most this many digits
 # beyond one word per bound, so a sample holds its fiber counts and the

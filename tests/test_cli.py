@@ -1,6 +1,8 @@
 """CLI surface: dispatch, formats, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -930,3 +932,122 @@ class TestTooLongToPrint:
         code, out, err = invoke(capsys, "expected", "--sizes", "2,2",
                                 "--decimals", "4300")
         assert (code, out, err) == (2, "", self.ERROR)
+
+
+def cli_env(buffered=True):
+    """The environment of a child ``python -m noninv.cli`` run the way a
+    user runs it: stdout block-buffered, as when PYTHONUNBUFFERED is
+    unset, or unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+CLI = [sys.executable, "-m", "noninv.cli"]
+
+
+def cli_process(*argv, buffered=True, **kwargs):
+    """Run one call in a child; ``kwargs`` go to ``subprocess.run``."""
+    return subprocess.run([*CLI, *argv], env=cli_env(buffered), timeout=60,
+                          **kwargs)
+
+
+def _stderr_read_only():
+    # fd 2 stays open, but for reading only, so every write to it fails
+    # with EBADF: what `2>&-` leaves behind a launcher script that opened
+    # a file on the free descriptor
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+BUFFERING = pytest.mark.parametrize("buffered", [True, False],
+                                    ids=["buffered", "unbuffered"])
+STIRLING_JSON = ["stirling", "--kind", "first", "--rows", "300", "--json"]
+BAD_SIZES = "error: sizes must be comma-separated integers, got '2,x'\n"
+
+
+class TestProcessExit:
+    """A real process: ``main`` flushes and leaves through ``os._exit``,
+    and what it prints and its exit code are those of ``run``, buffered
+    or not."""
+
+    @pytest.mark.parametrize("argv", [
+        # 11 MB of JSON, cut short if stdout were not flushed
+        STIRLING_JSON,
+        # two shares on two CPUs: a forked worker
+        ["simulate", "chain", "--sizes", "2,2", "--samples", "40000",
+         "--seed", "3", "--json"],
+        # refused, exit 2
+        ["verify", "chain", "--sizes", "2,2", "--budget", "0"],
+        # written by argparse: help on stdout, usage on stderr
+        ["--help"],
+        ["expected"],
+    ], ids=["stirling", "simulate", "refusal", "help", "usage"])
+    def test_same_as_in_process(self, capsys, monkeypatch, argv):
+        # the help's width, here and in the child, whatever the terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = invoke(capsys, *argv)
+        done = cli_process(*argv, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+    @BUFFERING
+    def test_reader_closes_early(self, buffered):
+        proc = subprocess.Popen([*CLI, *STIRLING_JSON], env=cli_env(buffered),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [
+        # buffered, these 4 bytes fail only when stdout is flushed
+        ["expected", "--sizes", "2,2"], STIRLING_JSON,
+    ], ids=["small", "large"])
+    def test_full_device(self, buffered, argv):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            done = cli_process(*argv, buffered=buffered, stdout=full,
+                               stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (
+            2, "error: [Errno 28] No space left on device\n")
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv, code, err", [
+        (["expected", "--sizes", "2,2"], 0, ""),
+        (["expected", "--sizes", "2,x"], 2, BAD_SIZES),
+    ], ids=["ok", "input-error"])
+    def test_stdout_closed_at_start(self, buffered, argv, code, err):
+        # sys.stdout is None: print writes nothing
+        done = cli_process(*argv, buffered=buffered,
+                           stderr=subprocess.PIPE, text=True,
+                           preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (code, err)
+
+    @BUFFERING
+    def test_error_stderr_refuses(self, buffered):
+        # the message cannot be written; the exit code still says input
+        # error
+        done = cli_process("expected", "--sizes", "2,x", buffered=buffered,
+                           capture_output=True, text=True,
+                           preexec_fn=_stderr_read_only)
+        assert (done.returncode, done.stdout) == (2, "")
+
+    @BUFFERING
+    def test_error_stderr_closed_at_start(self, buffered):
+        # sys.stderr is None, and print(..., file=None) writes to stdout
+        done = cli_process("expected", "--sizes", "2,x", buffered=buffered,
+                           stdout=subprocess.PIPE, text=True,
+                           preexec_fn=lambda: os.close(2))
+        assert (done.returncode, done.stdout) == (2, BAD_SIZES)

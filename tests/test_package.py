@@ -1,6 +1,6 @@
 """Package-wide properties: standard-library imports only, every
-import used, and the benchmark tracer still finds and wraps every layer
-it patches."""
+import used, no exit handler, and the benchmark tracer still finds and
+wraps every layer it patches."""
 
 import ast
 import json
@@ -46,6 +46,43 @@ def test_every_import_is_used(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"unused: {sorted(imported - used)}"
+
+
+def exit_hooks(tree) -> list[str]:
+    """Every ``atexit`` import and ``weakref.finalize`` use in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "atexit"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "atexit":
+                found.append("atexit")
+            elif node.module == "weakref":
+                found += ["weakref.finalize" for a in node.names
+                          if a.name == "finalize"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "finalize"
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "weakref"):
+            found.append("weakref.finalize")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_exit_hooks(path):
+    # cli.main ends the process with os._exit, which runs no atexit
+    # handler and no weakref finalizer
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert exit_hooks(tree) == [], path.name
+
+
+def test_exit_hooks_are_found():
+    source = ("import atexit\nfrom atexit import register\n"
+              "import weakref\nweakref.finalize(obj, print)\n"
+              "from weakref import finalize\n")
+    assert exit_hooks(ast.parse(source)) == [
+        "atexit", "atexit", "weakref.finalize", "weakref.finalize"]
 
 
 # dataclasses pulls in the rest; together they cost a cold call ~10 ms
