@@ -190,7 +190,7 @@ def sweep_endofunction_pairs(
                 f"({f.domain_size}->{f.codomain_size})"
             )
         kernels[_kernel(f.images)] += 1
-        fiber_vectors[f.fiber_sizes()] += 1
+        fiber_vectors[tuple(fiber_sizes(f.images, f.codomain_size))] += 1
     inner = [
         (fibers, _square_sum(fibers), count)
         for fibers, count in fiber_vectors.items()

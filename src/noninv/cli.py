@@ -9,13 +9,14 @@ Each ``_cmd_*`` handler returns an ``_Output`` and prints nothing.
 ``run`` is the only code that writes to stdout (the JSON envelope or
 the text lines) and the only code that picks the exit code: 1 iff the
 output's ``all_match`` is False, 2 on any ``NoninvError`` or
-``OSError``, else 0.  ``run`` flushes stdout before it returns, so a
-write that fails is an ``OSError`` too (exit 2), and an error message
-that stderr refuses still exits 2.
+``OSError``, else 0.  ``run`` flushes stdout before it returns, an
+argparse help text included, so a write that fails is an ``OSError``
+too (exit 2); an error message that stderr refuses, or that no stderr
+takes, still exits 2.
 
-``main``, the ``noninv`` entry point, flushes stdout and stderr once
-``run`` has returned and ends the process with ``os._exit``: interpreter
-teardown costs a cold call about as much as many commands' own work.
+``main``, the ``noninv`` entry point, ends the process with
+``os._exit`` once ``run`` has returned: interpreter teardown costs a
+cold call about as much as many commands' own work.
 Exit handlers and finalizers do not run there, so code that embeds the
 package calls ``run``.  An exception that escapes ``run`` takes the
 normal exit.
@@ -24,10 +25,12 @@ normal exit.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple
@@ -637,62 +640,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flush(stream) -> None:
-    # a standard stream is None where its descriptor was closed at start
-    if stream is not None:
-        stream.flush()
-
-
 def run(argv=None) -> int:
     """Parse argv, run the command and print its output; returns the
     process exit code.  The only code that writes to stdout, which it
-    flushes before it returns."""
+    flushes on every path; a write stdout refuses is an error like any
+    other.  argparse writes its help into a buffer, which ``run``
+    prints: argparse itself drops a write that fails."""
     parser = _build_parser()
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
-        out = args.handler(args)
-        if args.json:
-            envelope = {
-                "command": args.command_path,
-                "parameters": out.parameters,
-                "results": out.results,
-            }
-            if out.all_match is not None:
-                envelope["all_match"] = out.all_match
-            print(json.dumps(envelope, indent=2))
-        else:
-            for line in out.lines:
-                print(line)
-        _flush(sys.stdout)
-    except (NoninvError, OSError) as exc:
         try:
-            print(f"error: {exc}", file=sys.stderr)
-        except OSError:
-            pass  # stderr refuses writes; the exit code still tells
+            with redirect_stdout(help_text):
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error on stderr
+            print(help_text.getvalue(), end="")
+            code = int(exc.code) if exc.code is not None else 0
+        else:
+            out = args.handler(args)
+            if args.json:
+                envelope = {
+                    "command": args.command_path,
+                    "parameters": out.parameters,
+                    "results": out.results,
+                }
+                if out.all_match is not None:
+                    envelope["all_match"] = out.all_match
+                print(json.dumps(envelope, indent=2))
+            else:
+                for line in out.lines:
+                    print(line)
+            code = 1 if out.all_match is False else 0
+        # a standard stream is None where its descriptor was closed at
+        # start
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except (NoninvError, OSError) as exc:
+        # with no stderr, print(file=None) would write to stdout
+        if sys.stderr is not None:
+            try:
+                print(f"error: {exc}", file=sys.stderr)
+            except OSError:
+                pass  # stderr refuses writes; the exit code still tells
         return 2
-    return 1 if out.all_match is False else 0
+    return code
 
 
 def main() -> None:
     """Run ``sys.argv`` and end the process with ``run``'s exit code.
 
-    Once ``run`` returns, stdout and stderr are flushed and the process
-    leaves through ``os._exit``, without interpreter teardown: no exit
-    handler or finalizer runs.  An exception that escapes ``run``,
-    Ctrl-C included, takes the normal exit with its traceback."""
-    code = run(sys.argv[1:])
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            _flush(stream)
-        except OSError:
-            # bytes a failed write left behind: run reported a failed
-            # write of its output, and a message no stream takes (the
-            # argparse help, an error) changes no exit code
-            pass
-    os._exit(code)
+    ``run`` has flushed stdout or reported that it could not, and
+    stderr is line-buffered and is written whole lines only, so nothing
+    is left to write: the process leaves through ``os._exit``, without
+    interpreter teardown, and no exit handler or finalizer runs.  An
+    exception that escapes ``run``, Ctrl-C included, takes the normal
+    exit with its traceback."""
+    os._exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

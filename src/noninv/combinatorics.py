@@ -87,13 +87,14 @@ class StirlingTable:
     grow: it grows every kind in use, those read past the rows they
     hold, and both kinds of a table no read has used yet (such as one
     built with ``max_n`` > 0), in row order, one row of each kind in
-    use per turn.  It refuses rows past
-    ``MAX_STIRLING_ROWS`` before building any.  Growth takes no lock,
-    so threads may share a table only for rows that ``ensure`` has
-    already built.  Hot loops read whole rows (``second_row``,
-    ``first_rows``) and index the tuples, so they pay one ``ensure`` per
-    row or per triangle, not per entry.  ``first_signed_sums`` keeps the
-    sum of each signed first-kind row, taken the first time it is read.
+    use per turn (the second kind first when ``ensure`` picks both).
+    It refuses rows past ``MAX_STIRLING_ROWS`` before building any.
+    Growth takes no lock, so threads may share a table only for rows
+    that ``ensure`` has already built.  Hot loops read whole rows
+    (``second_row``, ``first_rows``) and index the tuples, so they pay
+    one ``ensure`` per row or per triangle, not per entry.
+    ``first_signed_sums`` keeps the sum of each signed first-kind row,
+    taken the first time it is read.
     """
 
     def __init__(self, max_n: int = 0):
@@ -102,44 +103,43 @@ class StirlingTable:
         self._first: list[tuple[int, ...]] = [(1,)]
         # entry i is sum_{j=1..i} s(i, j), an empty sum at i = 0
         self._first_sums: list[int] = [0]
-        # the kinds ensure grows, and the last row all of them hold
-        self._grows_second = self._grows_first = False
-        self._rows = 0
+        # the row lists of the kinds in use, which ensure grows
+        self._growing: list[list[tuple[int, ...]]] = []
         self.ensure(max_n)
 
     @property
     def max_n(self) -> int:
         """The last row that every kind in use holds."""
-        return self._rows
+        return min(map(len, self._growing), default=1) - 1
 
     def ensure(self, n: int) -> None:
         """Materialize every kind in use up to row n: both kinds if no
         read has used either yet."""
-        if n <= self._rows:
+        start = self.max_n
+        if n <= start:
             return
         check_stirling_rows(n)
-        if not (self._grows_second or self._grows_first):
-            self._grows_second = self._grows_first = True
-        second, first = self._second, self._first
+        growing = self._growing
+        if not growing:
+            growing += (self._second, self._first)
         # each turn adds row row_n + 1 to every kind in use that lacks it
-        start = min(len(second) if self._grows_second else n + 1,
-                    len(first) if self._grows_first else n + 1)
-        for row_n in range(start - 1, n):
-            if self._grows_second and len(second) == row_n + 1:
-                prev = second[row_n]
-                # entry k pairs row n at k (padded with a trailing 0)
-                # with row n at k - 1 (shifted by a leading 0)
-                second.append(tuple(map(
-                    add,
-                    map(mul, range(row_n + 2), prev + (0,)),
-                    (0,) + prev,
-                )))
-            if self._grows_first and len(first) == row_n + 1:
-                prev = first[row_n]
-                first.append(tuple(map(
-                    add, map(row_n.__mul__, prev + (0,)), (0,) + prev
-                )))
-        self._rows = n
+        for row_n in range(start, n):
+            for rows in growing:
+                if len(rows) != row_n + 1:
+                    continue
+                prev = rows[row_n]
+                if rows is self._second:
+                    # entry k pairs row n at k (padded with a trailing 0)
+                    # with row n at k - 1 (shifted by a leading 0)
+                    rows.append(tuple(map(
+                        add,
+                        map(mul, range(row_n + 2), prev + (0,)),
+                        (0,) + prev,
+                    )))
+                else:
+                    rows.append(tuple(map(
+                        add, map(row_n.__mul__, prev + (0,)), (0,) + prev
+                    )))
 
     def _grown(self, second: bool, n: int) -> list[tuple[int, ...]]:
         """One kind's rows, grown to row n through ``ensure``: a kind
@@ -148,13 +148,9 @@ class StirlingTable:
         if n < len(rows):
             # a held row: ensure sees only rows every kind in use holds,
             # so the read builds no row of the other kind
-            n = min(n, self._rows)
-        else:
-            if second:
-                self._grows_second = True
-            else:
-                self._grows_first = True
-            self._rows = min(self._rows, len(rows) - 1)
+            n = min(n, self.max_n)
+        elif all(kind is not rows for kind in self._growing):
+            self._growing.append(rows)
         self.ensure(n)
         return rows
 

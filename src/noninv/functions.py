@@ -22,7 +22,6 @@ from typing import Collection, Iterable, NoReturn, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import (
-    BudgetExceededError,
     EmptySetError,
     FunctionFileError,
     InvalidExponentError,
@@ -44,10 +43,6 @@ __all__ = [
     "format_function_text",
     "function_to_json",
 ]
-
-# FiniteFunction.fiber_sizes() lists at most max(|X|, this) fiber sizes
-_MAX_FIBER_LABELS = 1 << 20
-
 
 def fiber_sizes(images: Iterable[int], codomain_size: int) -> list[int]:
     """Fiber sizes |f^-1(y)| for y = 0..codomain_size-1 of the map with
@@ -117,7 +112,8 @@ class FiniteFunction(Frozen):
     parsers and ``compose`` check their images themselves and skip the
     constructor's checks.  The fibers are counted once, on first use,
     into a histogram of their sizes, which ``degree``, ``degree_q`` and
-    ``max_fiber`` read; ``fiber_sizes`` counts them again on each call.
+    ``max_fiber`` read; it is the function's one view of its fibers.
+    The module function ``fiber_sizes(images, m)`` lists them densely.
     """
 
     _fields = ("domain_size", "codomain_size", "images")
@@ -165,24 +161,6 @@ class FiniteFunction(Frozen):
         if not 0 <= x < self.domain_size:
             raise IndexError(f"{x} is outside the domain [0, {self.domain_size})")
         return self.images[x]
-
-    def fiber_sizes(self) -> tuple[int, ...]:
-        """Sizes |f^-1(y)| for y = 0..codomain_size-1; they sum to |X|.
-
-        One count per label: a codomain of more than max(|X|, 2^20)
-        labels is refused with ``BudgetExceededError`` before anything
-        is allocated, so the counts take no more memory than the images
-        or 2^20 entries (8 MiB).  ``degree``, ``degree_q`` and
-        ``max_fiber`` count fibers in memory bounded by |X| and take any
-        codomain."""
-        m = self.codomain_size
-        cap = max(self.domain_size, _MAX_FIBER_LABELS)
-        if m > cap:
-            raise BudgetExceededError(
-                f"fiber_sizes() would list {m} fiber sizes, cap is "
-                f"max(domain size, {_MAX_FIBER_LABELS}) = {cap}"
-            )
-        return tuple(fiber_sizes(self.images, m))
 
     def _fiber_histogram(self) -> Counter[int]:
         """How many fibers have each size (empty fibers under 0).
@@ -293,9 +271,11 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
+# whitespace as str.split() and str.isspace() see it
+_SPACE = re.compile(r"\s")
 _JSON_START = re.compile(r"\s*\{")
-# characters of the image list converted at a time; a chunk ends at a
-# space or a tab, so no token is cut
+# characters of the image list converted at a time; a chunk ends at
+# whitespace, so no token is cut
 _CHUNK = 1 << 16
 # the bytes of a chunk that the JSON scanner may read
 _DIGITS = b"0123456789 "
@@ -360,8 +340,8 @@ def _parse_valid_line(line: str) -> Optional[FiniteFunction]:
 
 def _zero_based_images(body: str) -> list[int]:
     """int(token) - 1 for each token of ``body``, converted in chunks of
-    about ``_CHUNK`` characters, each cut at a space, so that no list of
-    all the tokens is built.
+    about ``_CHUNK`` characters, each cut at whitespace, so that no list
+    of all the tokens is built.
 
     A chunk of ASCII digits and spaces is read by the C scanner of
     ``json``, with each space made a comma; every number the scanner
@@ -373,27 +353,16 @@ def _zero_based_images(body: str) -> list[int]:
     10^6-image file (2-core Xeon, Python 3.11) the scanner route took
     about 150 ms against 220 ms for ``int()``; the guard costs 7-12 ms
     per 7 MB, where ``str.isdigit`` after removing the spaces took 50 ms.
-    A chunk ends at the first space or tab at or after ``_CHUNK``
-    characters, and the next starts after it, since the scanner refuses
-    a leading space; a body with neither past that point is one chunk.
-    The next space and the next tab are each looked for again only once
-    the chunk start has passed them, so a body of spaces alone (or tabs
-    alone) is searched for the other separator once.
+    A chunk ends at the first whitespace character at or after
+    ``_CHUNK`` characters, and the next starts after it, since the
+    scanner refuses a leading space; a body with none past that point is
+    one chunk.
     """
     images: list[int] = []
     start, end = 0, len(body)
-    space = tab = -1
     while start < end:
-        low = start + _CHUNK
-        if space < low:
-            space = body.find(" ", low)
-            if space < 0:
-                space = end
-        if tab < low:
-            tab = body.find("\t", low)
-            if tab < 0:
-                tab = end
-        cut = min(space, tab)
+        found = _SPACE.search(body, start + _CHUNK)
+        cut = found.start() if found else end
         chunk = body[start:cut]
         start = cut + 1
         if chunk.isascii() and not chunk.encode().translate(None, _DIGITS):

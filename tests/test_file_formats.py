@@ -279,6 +279,11 @@ def separated(tokens, separators):
     return "".join(map(str.__add__, tokens, seps))[:-1]
 
 
+# whitespace that is neither a space nor a tab (nor a line break), among
+# a space and a tab; U+2009 makes the body a two-byte string
+MIXED_SPACE = " \xa0\x1f\t\u2009"
+
+
 def with_image(images, index, token):
     return images[:index] + [token] + images[index + 1:]
 
@@ -444,14 +449,17 @@ class TestChunkedTextParse:
             assert h == checked and hash(h) == hash(checked)
             assert repr(h) == repr(checked)
             assert type(h.images) is tuple
-            assert h.fiber_sizes() == checked.fiber_sizes()
+            assert h._fiber_histogram() == checked._fiber_histogram()
             assert h.max_fiber() == checked.max_fiber()
 
-    @pytest.mark.parametrize("separators", ["\t", "\t \t", " \t  ", "\t\t "])
+    @pytest.mark.parametrize("separators", [
+        "\t", "\t \t", " \t  ", "\t\t ", "\xa0", "\x1f", MIXED_SPACE,
+    ])
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
     def test_cuts_at_tabs(self, monkeypatch, separators, chunk):
-        # tab-only and mixed bodies: chunks are cut at tabs as well as
-        # spaces, and read the images str.split() sees
+        # bodies of tabs, of other whitespace and of mixed whitespace:
+        # chunks are cut at any whitespace, and read the images
+        # str.split() sees
         rng = random.Random(chunk)
         n = 300
         body = separated(
@@ -466,13 +474,15 @@ class TestChunkedTextParse:
             reference_parse_text, text
         )
 
-    @pytest.mark.parametrize("separators", [" ", "\t", "\t \t"])
+    @pytest.mark.parametrize("separators", [
+        " ", "\t", "\t \t", "\xa0", "\x1f", MIXED_SPACE,
+    ])
     def test_text_parse_holds_no_token_list(self, separators):
         # Parsing keeps the image tuple and its ints.  On top of those
         # the reader may hold, all at once at worst: the list the images
         # are gathered in (8 bytes an image, at most 1/8 over-allocated),
         # the image list split off the header (one byte a character
-        # here) and one chunk with its tokens, cut at a space or a tab.
+        # here) and one chunk with its tokens, cut at any whitespace.
         # A list of every token of the line would need far more.
         n = 10**5
         rng = random.Random(5)
@@ -487,10 +497,8 @@ class TestChunkedTextParse:
             tracemalloc.stop()
         assert f.domain_size == n
         body = line.split(None, 3)[3]
-        chunk = body[:min(
-            cut for cut in (body.find(sep, functions._CHUNK) for sep in " \t")
-            if cut >= 0
-        )]
+        cut = re.compile(r"\s").search(body, functions._CHUNK).start()
+        chunk = body[:cut]
         chunk_tokens = chunk.split()
         slack = (
             sys.getsizeof(list(f.images)) * 9 // 8
