@@ -30,10 +30,10 @@ import json
 import math
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .bounds import (
     check_composition_bound,
@@ -541,7 +541,17 @@ def _command(sub, name: str, handler, **kwargs) -> argparse.ArgumentParser:
     return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(
+    branch: Sequence[str] | None = None,
+) -> argparse.ArgumentParser:
+    """The parser of every command or, given ``branch`` (argv's first
+    two words), of the commands on it only: the command the first word
+    names and, in a group, the subcommand the second names.  Building
+    the whole tree takes a cold call several milliseconds."""
+
+    def on_branch(*names: str) -> bool:
+        return branch is None or tuple(branch[: len(names)]) == names
+
     parser = argparse.ArgumentParser(
         prog="noninv",
         description="Exact degrees of noninvertibility of finite "
@@ -550,94 +560,128 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(sub, "deg", _cmd_deg,
-                 help="degree of a function read from a file")
-    p.add_argument("--file", required=True,
-                   help="function file (text 'n m : images' one-based, "
-                   "or JSON zero-based)")
-    p.add_argument("--q", type=int, default=2,
-                   help="fiber power (default 2, the degree)")
-    _add_common(p, decimals=True)
+    if on_branch("deg"):
+        p = _command(sub, "deg", _cmd_deg,
+                     help="degree of a function read from a file")
+        p.add_argument("--file", required=True,
+                       help="function file (text 'n m : images' one-based, "
+                       "or JSON zero-based)")
+        p.add_argument("--q", type=int, default=2,
+                       help="fiber power (default 2, the degree)")
+        _add_common(p, decimals=True)
 
-    p = _command(sub, "expected", _cmd_expected,
-                 help="exact expected degree of a composition chain")
-    p.add_argument("--sizes", required=True,
-                   help="comma-separated set sizes n1,...,n_{t+1}")
-    _add_common(p, decimals=True)
+    if on_branch("expected"):
+        p = _command(sub, "expected", _cmd_expected,
+                     help="exact expected degree of a composition chain")
+        p.add_argument("--sizes", required=True,
+                       help="comma-separated set sizes n1,...,n_{t+1}")
+        _add_common(p, decimals=True)
 
-    p = _command(sub, "expected-q", _cmd_expected_q,
-                 help="exact expected generalized degree")
-    p.add_argument("--n", type=int, required=True, help="domain size")
-    p.add_argument("--m", type=int, required=True, help="codomain size")
-    p.add_argument("--q", type=int, required=True, help="fiber power")
-    _add_common(p, decimals=True)
+    if on_branch("expected-q"):
+        p = _command(sub, "expected-q", _cmd_expected_q,
+                     help="exact expected generalized degree")
+        p.add_argument("--n", type=int, required=True, help="domain size")
+        p.add_argument("--m", type=int, required=True, help="codomain size")
+        p.add_argument("--q", type=int, required=True, help="fiber power")
+        _add_common(p, decimals=True)
 
-    v = sub.add_parser("verify",
-                       help="check closed forms against independent paths")
-    vsub = v.add_subparsers(dest="verify_command", required=True)
+    if on_branch("verify"):
+        v = sub.add_parser(
+            "verify", help="check closed forms against independent paths"
+        )
+        vsub = v.add_subparsers(dest="verify_command", required=True)
 
-    p = _command(vsub, "chain", _cmd_verify_chain,
-                 help="chain expectation, three paths")
-    p.add_argument("--sizes", required=True)
-    _add_common(p, budget=True)
+    if on_branch("verify", "chain"):
+        p = _command(vsub, "chain", _cmd_verify_chain,
+                     help="chain expectation, three paths")
+        p.add_argument("--sizes", required=True)
+        _add_common(p, budget=True)
 
-    p = _command(vsub, "degq", _cmd_verify_degq,
-                 help="generalized-degree expectation")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--qmax", type=_int_at_least(1), default=6)
-    _add_common(p, budget=True)
+    if on_branch("verify", "degq"):
+        p = _command(vsub, "degq", _cmd_verify_degq,
+                     help="generalized-degree expectation")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--qmax", type=_int_at_least(1), default=6)
+        _add_common(p, budget=True)
 
-    p = _command(vsub, "en", _cmd_verify_en,
-                 help="square-moment multinomial identity")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--parts", required=True,
-                   help="comma-separated nonnegative weights")
-    _add_common(p)
+    if on_branch("verify", "en"):
+        p = _command(vsub, "en", _cmd_verify_en,
+                     help="square-moment multinomial identity")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--parts", required=True,
+                       help="comma-separated nonnegative weights")
+        _add_common(p)
 
-    p = _command(vsub, "corollary", _cmd_verify_corollary,
-                 help="Stirling identity and power sweeps, power-sum form")
-    p.add_argument("--qmax", type=_int_at_least(1), default=30)
-    p.add_argument("--nmax", type=_int_at_least(0), default=5)
-    _add_common(p, budget=True)
+    if on_branch("verify", "corollary"):
+        p = _command(
+            vsub, "corollary", _cmd_verify_corollary,
+            help="Stirling identity and power sweeps, power-sum form",
+        )
+        p.add_argument("--qmax", type=_int_at_least(1), default=30)
+        p.add_argument("--nmax", type=_int_at_least(0), default=5)
+        _add_common(p, budget=True)
 
-    p = _command(sub, "stirling", _cmd_stirling,
-                 help="print Stirling triangles or a transform")
-    p.add_argument("--kind", choices=["second", "first", "first-signed"],
-                   default="second")
-    p.add_argument("--rows", type=_int_at_least(0), default=10)
-    p.add_argument("--transform", default=None,
-                   help="comma-separated sequence to transform")
-    _add_common(p)
+    if on_branch("stirling"):
+        p = _command(sub, "stirling", _cmd_stirling,
+                     help="print Stirling triangles or a transform")
+        p.add_argument("--kind",
+                       choices=["second", "first", "first-signed"],
+                       default="second")
+        p.add_argument("--rows", type=_int_at_least(0), default=10)
+        p.add_argument("--transform", default=None,
+                       help="comma-separated sequence to transform")
+        _add_common(p)
 
-    p = _command(sub, "bounds", _cmd_bounds, help="composition bound reports")
-    p.add_argument("outer", nargs="?", default=None,
-                   help="file for the outer function f of f(g(x))")
-    p.add_argument("inner", nargs="?", default=None,
-                   help="file for the inner function g")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="sweep all endofunction pairs on an n-set")
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
+    if on_branch("bounds"):
+        p = _command(sub, "bounds", _cmd_bounds,
+                     help="composition bound reports")
+        p.add_argument("outer", nargs="?", default=None,
+                       help="file for the outer function f of f(g(x))")
+        p.add_argument("inner", nargs="?", default=None,
+                       help="file for the inner function g")
+        p.add_argument("--exhaustive", action="store_true",
+                       help="sweep all endofunction pairs on an n-set")
+        p.add_argument("--n", type=int, default=None)
+        _add_common(p)
 
-    s = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
-    ssub = s.add_subparsers(dest="simulate_command", required=True)
+    if on_branch("simulate"):
+        s = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
+        ssub = s.add_subparsers(dest="simulate_command", required=True)
 
-    p = _command(ssub, "chain", _cmd_simulate_chain,
-                 help="sample random composition chains")
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
+    if on_branch("simulate", "chain"):
+        p = _command(ssub, "chain", _cmd_simulate_chain,
+                     help="sample random composition chains")
+        p.add_argument("--sizes", required=True)
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        _add_common(p)
 
-    p = _command(ssub, "maxfiber", _cmd_simulate_maxfiber,
-                 help="sample max fiber sizes of endofunctions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
+    if on_branch("simulate", "maxfiber"):
+        p = _command(ssub, "maxfiber", _cmd_simulate_maxfiber,
+                     help="sample max fiber sizes of endofunctions")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        _add_common(p)
 
     return parser
+
+
+def _parse_branch(argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` parsed by the parser of its branch alone
+    (``_build_parser(argv[:2])``); None where that parse exits: help, a
+    usage error or no command on the branch.  What it wrote is dropped,
+    and the whole parser parses again, so every help text and usage
+    message is the whole parser's.  A help flag goes to the whole parser
+    at once: its help would be printed from there anyway."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return _build_parser(argv[:2]).parse_args(argv)
+    except SystemExit:
+        return None
 
 
 def run(argv=None) -> int:
@@ -646,12 +690,14 @@ def run(argv=None) -> int:
     flushes on every path; a write stdout refuses is an error like any
     other.  argparse writes its help into a buffer, which ``run``
     prints: argparse itself drops a write that fails."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     help_text = io.StringIO()
     try:
         try:
-            with redirect_stdout(help_text):
-                args = parser.parse_args(argv)
+            args = _parse_branch(argv)
+            if args is None:
+                with redirect_stdout(help_text):
+                    args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # help, or a usage error on stderr
             print(help_text.getvalue(), end="")
             code = int(exc.code) if exc.code is not None else 0

@@ -8,31 +8,34 @@ golden-gamma constant, finalized with two xor-multiply rounds.  It is
 fully specified by the constants below, so the stream is reproducible
 across platforms and implementations.
 
-Uniform integers below a bound b are drawn by rejection, several from
-each word.  Let k be the largest number of digits with b^k <= 2^64 (at
-most 64, as for b = 2).  A word z is accepted when z < floor(2^64 /
-b^k) * b^k, so z mod b^k is uniform and its k base-b digits are k
-independent uniform draws, read low digit first.  Bounds above 2^64,
-which no word could meet, are refused.  For b > 2^32, k = 1 and each
-draw takes one word, as in version 2.
+Uniform integers below a bound b are drawn by rejection, one unit of
+a word per draw.  The unit width w is the smallest of 8, 16, 32 and 64
+with b <= 2^w, and a word holds 64 / w units, taken low bits first.  A
+unit u is accepted when u < 2^w - (2^w mod b), the largest multiple of
+b that fits in w bits, so u mod b is uniform; that is the draw, and a
+rejected unit is passed over.  Bounds above 2^64, which no unit could
+meet, are refused.  For b > 2^32, w = 64 and each draw takes one
+word, as in versions 2 to 4.
 
-Words are mixed a round at a time, not one by one (``_words``): the
-j-th word after state s is mix(s + j * gamma), so a round lays its
+Words are mixed a round at a time, not one by one (``_mixed_lanes``):
+the j-th word after state s is mix(s + j * gamma), so a round lays its
 words out one per 128-bit lane of one integer and runs each xor-shift
 and multiply of the mixer once on all of them ("SIMD within a
-register", Lamport, CACM 1975).  A round takes only the words the
-draws still missing need if every word is accepted, so a call reads
-and returns the same words and state as a word-at-a-time loop; how
-words are mixed is not part of the contract.
+register", Lamport, CACM 1975).  The units of a round are its words'
+little-endian bytes: below 257 one ``bytes.translate`` call drops the
+rejected bytes and reduces the rest, and wider units are read from an
+array view of the bytes.  A call reads and returns the same words and
+state as a word-at-a-time loop; how words are mixed is not part of the
+contract.
 
 Samples are processed in fixed blocks of ``BLOCK_SAMPLES``.  Block i
 has its own SplitMix64 stream whose initial state is the i-th output
 word of a SplitMix64 stream seeded with the master seed
 (``derived_stream(seed, i)``).  In block i, every draw below a bound b
-reads the next unread digit of one digit stream per bound: the base-b
-digits of the stream ``derived_stream(derived_stream(seed, i)._state,
-b)``, word after accepted word.  No digit is dropped inside a block;
-the digits left over when a block ends are discarded.  SplitMix64 is
+reads the unread units of one stream per bound, the stream
+``derived_stream(derived_stream(seed, i)._state, b)``, up to the next
+accepted one.  No unit is dropped inside a block; the
+units left over when a block ends are discarded.  SplitMix64 is
 counter-based, so each of these streams depends only on (seed, i, b):
 blocks are independent of each other and of the order they run in.
 Per-block partial sums are exact integers, so their total is the same
@@ -45,12 +48,12 @@ sending back its two exact totals.  The run is cut into units of a
 grain of samples, the last one maybe short, and each process takes a
 contiguous share of whole units (``_share_bounds``).  A chain sample
 takes as many draws as the images of its maps have points, so a chain
-run's grain is a block.  A max-fiber sample takes n digits, so sample j
-of a block starts at digit j * n of its digit stream; a max-fiber run's
-grain is one sample, and a share may start inside a block.  Its worker
-skips the digits before it (``_skip``): it mixes the words that hold
-them and counts the rejected ones, but extracts no digit, in about a
-tenth of the time drawing them would take at n = 10^4.  Fewer workers
+run's grain is a block.  A max-fiber sample takes n draws, so sample j
+of a block starts at draw j * n of its stream; a max-fiber run's grain
+is one sample, and a share may start inside a block.  Its worker skips
+the draws before it (``_skip``): it mixes the words that hold them and
+counts their accepted units word-parallel, but makes no draw, in about
+a fifth of the time drawing them would take at n = 10^4.  Fewer workers
 are used where the smallest share would draw fewer than
 ``_FORK_DRAWS`` values.  The report is the same for any number of
 workers; how samples are spread over processes is not part of the
@@ -61,13 +64,16 @@ order.  Each later f_s is drawn only at the image points of the partial
 composition g = f_{s-1} o ... o f_1, one draw below n_{s+1} per point,
 in order of first appearance of g(x) as x runs over 0..n_1-1: the
 composition's degree depends on f_s only there.  A max-fiber sample
-takes its n draws in order.  This is version ``STREAM_CONTRACT`` (4) of
-the contract.  Version 3 drew from one stream per block, and each draw
-call (f_1, each later map, a max-fiber map) started on a fresh word and
-dropped the digits of its last word it did not need: on a 20-set chain
-of 20 a sample read about 20.6 words, where it now reads about 7.7.
-Version 2 took one word per draw, and version 1 drew every f_s at all
-of X_s.
+takes its n draws in order.  This is version ``STREAM_CONTRACT`` (5) of
+the contract.  Version 4 read k base-b digits from each accepted word,
+k the most with b^k <= 2^64, and rejected whole words: its draws cost
+Python digit arithmetic each, where a unit is rejected and reduced in
+C, at the price of a few more words (13.5 against 12.1 words a sample
+on 50,50,50,50, where 11 digits below 50 filled a word).  Version 3
+drew from one stream per block, and each draw call (f_1, each later
+map, a max-fiber map) started on a fresh word and dropped the digits of
+its last word it did not need.  Version 2 took one word per draw, and
+version 1 drew every f_s at all of X_s.
 
 All reference values stay exact rationals; floats appear only in the
 reported mean, standard error and z-score.
@@ -76,12 +82,12 @@ Each run draws at most ``MAX_DRAWS`` values: samples times the
 per-sample bound n_1 + sum over s = 2..t of min(n_1, n_s) for a chain
 (the image of g has at most min(n_1, n_s) points), or samples times n
 for max fibers.  The cap counts draws, not words.  A run whose bound
-exceeds the cap is refused before any drawing.  Each digit stream is
-drawn in batches of whole words, sized from its bound's share of the
-per-sample bound: at least one word each, and together at most
-``_DRAW_CHUNK`` digits beyond one word per bound.  The batch size
-changes no draw, and a sample holds its fiber counts and the batches,
-not its draws.
+exceeds the cap is refused before any drawing.  Each stream is drawn
+in batches of all accepted units of a whole number of words, sized
+from its bound's share of the per-sample bound: at least one word, at
+most one round, and together at most ``_DRAW_CHUNK`` units beyond one
+word per bound.  The batch size changes no draw, and a sample holds its
+fiber counts and the batches, not its draws.
 """
 
 from __future__ import annotations
@@ -120,36 +126,37 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 BLOCK_SAMPLES = 1024
-STREAM_CONTRACT = 4
+STREAM_CONTRACT = 5
 # well above the largest pinned run (acceptance criterion 8, 1.5e7
-# draws).  _draw makes about 7-13M draws/s below 50, 4.6-8M below 10^4
-# and 2-3.6M above 2^32, one per word (requests of 4,096 whole words,
-# or 2,500 below 10^4; CPython 3.11.7, one core of a 2-core VM whose
-# speed drifts by up to 45%); chain sampling on 50,50,50,50 runs at
-# 2.3-4M draws/s with its counting (26-46 us a sample of about 105
-# draws), so a run at the cap takes 25-45 s in one process.  Forked
-# workers share it: 50,50,50,50 at 10^5 samples (1.5e7 draws) took
-# 1.6 s on two CPUs against 2.8 s in one process, cold
+# draws).  _draw makes about 36M draws/s below 50, 8M below 10^4 and
+# 2.8M above 2^32, one per word (calls of 32,768, 16,384 and 4,096
+# draws, best of 7; CPython 3.11.7, one core of a 2-core VM whose speed
+# drifts by up to 45%); chain sampling on 50,50,50,50 runs at about
+# 7.5M draws/s with its counting (13.9 us a sample of about 105 draws,
+# 150 counted against the cap), so a run at the cap takes 9-15 s in one
+# process.  Forked workers share it: 50,50,50,50 at 10^5 samples (1.5e7
+# draws) took 1.32 s on two CPUs against 2.28 s in one process, cold
 MAX_DRAWS = 10**8
 # fewer workers are used where the smallest share would draw fewer
 # values, and none where a second share would: a fork costs more than a
 # nearly empty share saves.  Cold calls with every run forked against
 # none, both ending in os._exit, on a 2-core VM (fresh bytecode, medians
-# of 30 alternating pairs, each pair running every case once):
-# --sizes 2,2 at 8,192 samples (8,192 draws a share) took 111.8 against
-# 116.6 ms, forked faster in 21 of 30 pairs, and at 32,768 samples 168.8
-# against 219.4 (26 of 30); max-fiber samples draw faster, and n = 1000
-# at 32 samples (16,000 draws a share) took 88.6 against 96.7 ms (17 of
-# 30), at 64 samples 102.1 against 105.9 (21 of 30) and at 256 samples
-# 138.6 against 157.6 (29 of 30).  Below 2^15 draws a share, forking won
-# fewer than nine pairs in ten here and in two sets of 20 pairs.  At
-# 2^15 on two CPUs, --sizes 2,2 forks from 32,768 samples and max-fiber
-# runs at n = 1000 from 66, while --sizes 50,50,50,50 at 1,025 samples,
-# whose second share, the short last block, would hold one sample, runs
-# in one process
+# of 30 alternating pairs, each pair running every case once), under
+# stream contract 5: --sizes 2,2 at 8,192 samples (8,192 draws a share)
+# took 102.5 against 113.3 ms, forked faster in 23 of 30 pairs, at
+# 16,384 samples 122.3 against 145.0 (26 of 30) and at 32,768 156.4
+# against 205.5 (28 of 30); max-fiber samples draw faster, and n = 1000
+# at 32 samples (16,000 draws a share) took 95.9 against 93.9 ms (7 of
+# 30), at 64 samples 100.1 against 100.9 (20 of 30) and at 256 samples
+# 124.7 against 148.8 (28 of 30).  Max-fiber shares break even near
+# 2^15 draws, and chain shares of 2,2 gain below it.  At 2^15 on two
+# CPUs, --sizes 2,2 forks from 32,768 samples and max-fiber runs at
+# n = 1000 from 66, while --sizes 50,50,50,50 at 1,025 samples, whose
+# second share, the short last block, would hold one sample, runs in
+# one process
 _FORK_DRAWS = 1 << 15
-# the batches of a block's digit streams hold at most this many digits
-# beyond one word per bound, so a sample holds its fiber counts and the
+# the batches of a block's streams hold at most this many units beyond
+# one word per bound, so a sample holds its fiber counts and the
 # batches, not n draws
 _DRAW_CHUNK = 1 << 16
 
@@ -181,141 +188,176 @@ class SplitMix64:
         return value
 
 
-# the most words one round of _words mixes; its lane constants take
-# 16 bytes a lane each
+# the most words one round mixes; each lane constant takes 16 bytes a
+# lane
 _LANES = 1024
 
 
 @cache
-def _lane_constants() -> tuple[int, int, int]:
-    """One, j * gamma and 2^64 - 1 in 128-bit lanes j = 1.._LANES (lane
-    j at bit 128 (j - 1)), built on the first draw: a run that draws
-    nothing does not pay for them."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
-    index = int.from_bytes(
-        b"".join(j.to_bytes(16, "little") for j in range(1, _LANES + 1)),
-        "little",
+def _lane_constants() -> tuple[int, int, dict[int, int]]:
+    """Constants of 128-bit lanes j = 1.._LANES, lane j at bit 128 (j -
+    1): j * gamma and 2^64 - 1 in each lane, and for each unit width w a
+    one at the foot of each w-bit unit of the low half.  Built on the
+    first draw, so a run that draws nothing does not pay for them, or by
+    ``_run_blocks`` before it forks, so no worker builds them."""
+
+    def lanes(pattern: bytes) -> int:
+        return int.from_bytes(pattern * _LANES, "little")
+
+    index = b"".join(j.to_bytes(16, "little") for j in range(1, _LANES + 1))
+    feet = {w: lanes((b"\x01" + bytes(w // 8 - 1)) * (64 // w) + bytes(8))
+            for w in (8, 16, 32, 64)}
+    return (
+        _GAMMA * int.from_bytes(index, "little"),
+        lanes(b"\xff" * 8 + bytes(8)),
+        feet,
     )
-    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
-    return ones, _GAMMA * index, mask
 
 
-def _lane_words(
-    lanes: int, n: int, byteorder: str = sys.byteorder
-) -> list[int]:
-    """The low 64-bit halves of ``lanes``' n 128-bit lanes, low lane
-    first, read as 64-bit words of ``byteorder``: the machine's, or the
-    words come out byte-swapped."""
-    halves = memoryview(lanes.to_bytes(n << 4, byteorder)).cast("Q")
-    # little-endian bytes start at lane 0's low half; big-endian ones
-    # end there
-    return (halves[::2] if byteorder == "little" else halves[::-2]).tolist()
-
-
-def _mixed_lanes(state: int, n: int) -> tuple[int, int, int]:
+def _mixed_lanes(state: int, n: int) -> int:
     """The next n words (n <= ``_LANES``) of the SplitMix64 stream at
     ``state``, mixed together, one 128-bit lane of one int per word
-    (SWAR), with the one and mask constants of n lanes.  Lane j starts
-    at state + j * gamma mod 2^64; each xor-shift and each multiply by a
-    64-bit constant is one operation on the whole int.  A mask after
-    each keeps every lane below 2^64: the shift moves the next lane's
-    low bits into this lane's high half, and a 64 x 64-bit product
-    fills its own lane but no more.  The last shift is not masked: the
-    low halves hold the words, the high halves leftovers."""
-    ones, gammas, mask = _lane_constants()
+    (SWAR).  Lane j starts at state + j * gamma mod 2^64; each xor-shift
+    and each multiply by a 64-bit constant is one operation on the whole
+    int.  A mask after each keeps every lane below 2^64: the shift moves
+    the next lane's low bits into this lane's high half, and a 64 x
+    64-bit product fills its own lane but no more.  The last shift is
+    not masked: the low halves hold the words, the high halves
+    leftovers."""
+    gammas, mask, feet = _lane_constants()
+    ones = feet[64]
     if n < _LANES:
         cut = (1 << (n << 7)) - 1
         ones, gammas, mask = ones & cut, gammas & cut, mask & cut
     z = (state * ones + gammas) & mask
     z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
     z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-    return z ^ (z >> 31), ones, mask
+    return z ^ (z >> 31)
 
 
-def _words(state: int, n: int) -> list[int]:
-    """The next n words (n <= ``_LANES``) of the SplitMix64 stream at
-    ``state``, mixed by ``_mixed_lanes``; ``_lane_words`` reads the low
-    halves only."""
-    return _lane_words(_mixed_lanes(state, n)[0], n)
+# array and memoryview codes of the unit widths above a byte; 'I' is an
+# unsigned int, 4 bytes on every platform CPython supports
+_UNIT_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
-# unbounded: a run reads it for one bound per distinct set size, and a
-# block reads every bound once per batch, round-robin, so a cache
-# smaller than the bound count would miss on every read
+def _lane_units(
+    lanes: int, n: int, width: int, byteorder: str = sys.byteorder
+) -> Sequence[int]:
+    """The units of the words in ``lanes``' n low halves, word after
+    word from lane 0, each word cut into ``width``-bit units low bits
+    first: the words' little-endian bytes for width 8, else those bytes
+    read as units on a machine of ``byteorder`` (the machine's, or the
+    units come out byte-swapped).  Slicing every other 8 bytes of the
+    little-endian lanes moves bytes without reading them as numbers, so
+    only wider units depend on the byte order."""
+    halves = memoryview(lanes.to_bytes(n << 4, "little")).cast("Q")
+    data = halves[::2].tobytes()
+    if width == 8:
+        return data
+    code = _UNIT_CODES[width]
+    if byteorder == "little":
+        return memoryview(data).cast(code)
+    from array import array  # an extension module: not on every start
+
+    units = array(code, data)
+    units.byteswap()
+    return units
+
+
+def _unit_rule(bound: int) -> tuple[int, int]:
+    """Unit width w and threshold of a bound b: the smallest of 8, 16,
+    32 and 64 with b <= 2^w, and 2^w - (2^w mod b), the largest multiple
+    of b that fits in w bits.  A bound above 2^64 is refused: no unit
+    would be accepted."""
+    if bound > 1 << 64:
+        raise InvalidSizeError(
+            f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
+        )
+    width = 8
+    while bound > 1 << width:
+        width <<= 1
+    return width, (1 << width) - (1 << width) % bound
+
+
+# at most 256 entries, one per bound up to 256
 @cache
-def _word_digits(bound: int) -> tuple[int, int]:
-    """Digits per word and acceptance threshold of ``_draw`` for a bound
-    b: the largest k with b^k <= 2^64 (at most 64, the k of b = 2; every
-    power of 1 is 1), and floor(2^64 / b^k) * b^k."""
-    k, power = 1, bound
-    while k < 64 and power * bound <= 1 << 64:
-        k += 1
-        power *= bound
-    return k, ((1 << 64) // power) * power
+def _byte_rule(bound: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` arguments of a bound b <= 256: the table that
+    maps a byte u to u mod b, and the rejected bytes, threshold up."""
+    threshold = _unit_rule(bound)[1]
+    return bytes(u % bound for u in range(256)), bytes(range(threshold, 256))
+
+
+def _accepted(state: int, bound: int, words: int) -> Sequence[int]:
+    """The draws below ``bound`` of the next ``words`` words (<=
+    ``_LANES``) of the SplitMix64 stream at ``state``: every accepted
+    unit, in order, reduced mod the bound.  The one rejection of the
+    module: every sampler reads its draws from here, so all of them
+    consume the stream unit for unit alike.  Below 257 one
+    ``bytes.translate`` call drops the rejected bytes and reduces the
+    rest; wider units are filtered from an array view of the words."""
+    width, threshold = _unit_rule(bound)
+    units = _lane_units(_mixed_lanes(state, words), words, width)
+    if width == 8:
+        return units.translate(*_byte_rule(bound))
+    return [u % bound for u in units if u < threshold]
 
 
 def _draw(state: int, bound: int, count: int) -> tuple[int, list[int]]:
     """``count`` uniform integers in [0, bound) by rejection, drawn from
     the SplitMix64 stream at ``state``; returns the advanced state and
-    the draws.  The one rejection loop of the module: every sampler
-    calls it, so all of them consume the stream word for word alike.
+    the draws.  The one rejection loop of the module.
 
-    A word z is accepted when z < floor(2^64 / b^k) * b^k, so z mod b^k
-    is uniform; its k base-b digits, low digit first, are k independent
-    draws.  The call reads only the digits it still needs from its last
-    word and drops the rest (the block samplers ask for whole words).
-    A bound above 2^64 is refused: no word would be accepted.
+    A draw reads the next w-bit unit u of the stream (``_unit_rule``)
+    and is accepted when u < 2^w - (2^w mod b), as u mod b.  The call
+    drops the units of its last word it does not need (the block
+    samplers read whole words through ``_Batches``).
 
-    Words are mixed in rounds by ``_words``.  A round takes as many
-    words as the draws still missing need if every word is accepted, at
-    most ``_LANES``, so the call reads no word past its last accepted
-    one, as a word-at-a-time loop would."""
-    if bound > 1 << 64:
-        raise InvalidSizeError(
-            f"bound must be <= 2^64 (one SplitMix64 word), got {bound}"
-        )
-    k, threshold = _word_digits(bound)
+    Words are mixed in rounds.  A round takes as many words as the
+    draws still missing need if every unit is accepted, at most
+    ``_LANES``: all words of it but the last hold fewer units than are
+    missing, so the call reads no word past the one that holds its last
+    draw, as a word-at-a-time loop would."""
+    per_word = 64 // _unit_rule(bound)[0]
     draws: list[int] = []
-    append = draws.append
-    more_digits = range(k - 1)
-    need = count
-    while need > 0:
-        words = min(-(-need // k), _LANES)
-        for z in _words(state, words):
-            if z < threshold:
-                append(z % bound)
-                need -= k
-                # the word's other digits; the last word's only up to
-                # count
-                for _ in more_digits if need >= 0 else range(k - 1 + need):
-                    z //= bound
-                    append(z % bound)
+    while len(draws) < count:
+        words = min(-((len(draws) - count) // per_word), _LANES)
+        draws += _accepted(state, bound, words)
         state = (state + words * _GAMMA) & _MASK64
+    del draws[count:]
     return state, draws
 
 
-def _skip(state: int, bound: int, digits: int) -> tuple[int, int]:
-    """Pass over the first ``digits`` digits below ``bound`` of the
-    SplitMix64 stream at ``state`` without extracting any: returns the
-    state after the accepted words that hold them whole, and how many
-    digits of the next accepted word to drop as well.  ``_draw`` from
-    that state, less the dropped digits, reads the draws one ``_draw``
-    from ``state`` would read after the first ``digits``.
+def _skip(state: int, bound: int, count: int) -> tuple[int, int]:
+    """Pass over the first ``count`` draws below ``bound`` of the
+    SplitMix64 stream at ``state`` without making them: returns the
+    state after the words all of whose accepted units are passed over,
+    and how many draws from that state to drop as well, at most one
+    word's units.  ``_draw`` from that state, less the dropped draws,
+    reads the draws one ``_draw`` from ``state`` would read after the
+    first ``count``.
 
-    Only the rejected words are counted, on the mixed lanes: adding
-    2^64 - threshold to every lane carries into bit 64 of the lanes of
-    rejected words, and ``int.bit_count`` counts those carries.  A round
-    mixes as many words as accepted words are still missing, at most
-    ``_LANES``, so the call reads no word past its last accepted one."""
-    k, threshold = _word_digits(bound)
-    missing, drop = divmod(digits, k)
-    while missing > 0:
-        words = min(missing, _LANES)
-        lanes, ones, mask = _mixed_lanes(state, words)
-        carries = (lanes & mask) + ((1 << 64) - threshold) * ones
-        missing -= words - (carries >> 64 & ones).bit_count()
+    A round mixes one word fewer than the draws still to pass need if
+    every unit is accepted, at most ``_LANES``: it holds fewer units
+    than are missing, so every word of it is passed whole.  Its rejected
+    units are counted on the mixed lanes, all widths alike, by a carry
+    that stays inside each unit: u >= threshold means u + c >= 2^w for c
+    = 2^w - threshold, and as c < 2^(w-1) that holds when the top bits
+    of both u and (u's low w - 1 bits) + c are set.  The sum fits in its
+    unit, so one addition serves every unit of the round, and
+    ``int.bit_count`` counts the top bits left."""
+    width, threshold = _unit_rule(bound)
+    per_word = 64 // width
+    feet = _lane_constants()[2][width]
+    tops = feet << width - 1
+    low, add = tops - feet, ((1 << width) - threshold) * feet
+    while count > per_word:
+        words = min((count - 1) // per_word, _LANES)
+        lanes = _mixed_lanes(state, words)
+        rejected = ((lanes & low) + add & lanes & tops).bit_count()
+        count -= words * per_word - rejected
         state = (state + words * _GAMMA) & _MASK64
-    return state, drop
+    return state, count
 
 
 def derived_stream(seed: int, index: int) -> SplitMix64:
@@ -401,56 +443,56 @@ def _chain_draws(sizes: Sequence[int]) -> dict[int, int]:
 
 
 def _batch_sizes(draws: dict[int, int]) -> dict[int, int]:
-    """Digits per batch of each bound's digit stream, a whole number of
-    words, given each bound's per-sample draw bound: enough words for
-    one sample, cut to the bound's share of ``_DRAW_CHUNK`` digits, and
-    at least one.  All batches together hold at most ``_DRAW_CHUNK``
-    digits beyond one word per bound."""
+    """Words per batch of each bound's stream, given each bound's
+    per-sample draw bound: the bound's share of ``_DRAW_CHUNK`` units,
+    at most ``_LANES`` words, one round, and at least one.  All batches
+    together hold at most ``_DRAW_CHUNK`` units beyond one word per
+    bound."""
     total = sum(draws.values())
     sizes = {}
     for bound, need in draws.items():
-        k = _word_digits(bound)[0]
-        share = _DRAW_CHUNK * need // total // k
-        sizes[bound] = max(min(-(-need // k), share), 1) * k
+        share = _DRAW_CHUNK * need // total // (64 // _unit_rule(bound)[0])
+        sizes[bound] = max(min(share, _LANES), 1)
     return sizes
 
 
 class _Batches:
-    """Endless lists of ``count`` draws below ``bound``, a whole number
-    of words' digits each, from the SplitMix64 stream at ``state``.  A
-    slotted iterator, not a generator: a chain with thousands of bounds
-    holds one per bound, and a generator with its frame takes about 200
-    bytes more."""
+    """Endless batches of draws below ``bound`` from the SplitMix64
+    stream at ``state``: all accepted units of ``words`` words each, so
+    the batch size changes no draw.  A slotted iterator, not a
+    generator: a chain with thousands of bounds holds one per bound, and
+    a generator with its frame takes about 200 bytes more."""
 
-    __slots__ = ("_state", "_bound", "_count")
+    __slots__ = ("_state", "_bound", "_words")
 
-    def __init__(self, state: int, bound: int, count: int):
+    def __init__(self, state: int, bound: int, words: int):
         self._state = state
         self._bound = bound
-        self._count = count
+        self._words = words
 
     def __iter__(self) -> _Batches:
         return self
 
-    def __next__(self) -> list[int]:
-        self._state, draws = _draw(self._state, self._bound, self._count)
+    def __next__(self) -> Sequence[int]:
+        draws = _accepted(self._state, self._bound, self._words)
+        self._state = (self._state + self._words * _GAMMA) & _MASK64
         return draws
 
 
 def _digit_streams(
     seed: int, block: int, draws: dict[int, int], skip: int = 0
 ) -> dict[int, Iterator[int]]:
-    """Block ``block``'s endless digit iterator for each bound of
-    ``draws`` (bound -> per-sample draw bound): the base-b digits of the
-    stream derived from block ``block``'s stream with index b, drawn in
-    batches of ``_batch_sizes`` digits, from digit ``skip`` on."""
+    """Block ``block``'s endless draw iterator for each bound of
+    ``draws`` (bound -> per-sample draw bound): the draws below b of the
+    stream derived from block ``block``'s stream with index b, in
+    batches of ``_batch_sizes`` words, from draw ``skip`` on."""
     state = derived_stream(seed, block)._state
     streams = {}
-    for bound, size in _batch_sizes(draws).items():
+    for bound, words in _batch_sizes(draws).items():
         start, drop = _skip(derived_stream(state, bound)._state, bound, skip)
-        digits = chain.from_iterable(_Batches(start, bound, size))
-        next(islice(digits, drop, drop), None)
-        streams[bound] = digits
+        draws = chain.from_iterable(_Batches(start, bound, words))
+        next(islice(draws, drop, drop), None)
+        streams[bound] = draws
     return streams
 
 
@@ -478,7 +520,7 @@ def _chain_block(
         for stream in later:
             merged: dict[int, int] = {}
             get = merged.get
-            # counts first: zip stops on them without taking a digit
+            # counts first: zip stops on them without taking a draw
             for c, y in zip(profile.values(), stream):
                 merged[y] = get(y, 0) + c
             profile = merged
@@ -492,8 +534,8 @@ def _maxfiber_block(
     n: int, seed: int, block: int, count: int, first: int = 0
 ) -> tuple[int, int]:
     """Sum and square-sum of the largest fiber over samples ``first`` to
-    ``first + count - 1`` of one block.  Every sample takes n digits of
-    the block's one digit stream, so sample ``first`` starts at digit
+    ``first + count - 1`` of one block.  Every sample takes n draws of
+    the block's one stream, so sample ``first`` starts at draw
     ``first * n``, which ``_skip`` reaches without drawing."""
     stream = _digit_streams(seed, block, {n: n}, first * n)[n]
     total = 0
@@ -675,6 +717,8 @@ def _run_blocks(
     all are reaped; on an error of this process's own share, or an
     interrupt, the workers are killed first."""
     workers = _workers(samples, per_sample, grain)
+    if workers > 1:
+        _lane_constants()  # built once here, not once per worker
     parent = os.getpid()
 
     def share(worker: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """CLI surface: dispatch, formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -715,7 +716,7 @@ class TestSimulate:
                 "--json",
             )
             assert code == 0
-            assert json.loads(out)["results"][0]["stream_contract"] == 4
+            assert json.loads(out)["results"][0]["stream_contract"] == 5
 
     @pytest.mark.parametrize("name, argv", [
         ("simulate_chain_50x4.json",
@@ -726,7 +727,7 @@ class TestSimulate:
          ("maxfiber", "--n", "10000", "--samples", "20")),
     ])
     def test_golden_bytes(self, capsys, name, argv):
-        # stdout recorded under stream contract 4; 1,100 samples cross
+        # stdout recorded under stream contract 5; 1,100 samples cross
         # into a second block.  A changed draw moves the sums behind the
         # mean and standard error, so any bit the generator changes
         # fails here
@@ -737,7 +738,7 @@ class TestSimulate:
         assert out == (GOLDEN / name).read_text()
 
     def test_chain_through_a_one_point_set(self, capsys, deadline):
-        # bound 1: every word is accepted and holds 64 zero digits
+        # bound 1: every byte is accepted, and each is a draw of 0
         code, out, _ = invoke(
             capsys, "simulate", "chain", "--sizes", "3,1,3",
             "--samples", "50", "--seed", "1", "--json",
@@ -747,7 +748,7 @@ class TestSimulate:
         assert result["mean"] == 3.0 and result["std_error"] == 0.0
 
     def test_set_size_above_one_word(self, capsys, deadline):
-        # a bound above 2^64 would reject every word: refused at the
+        # a bound above 2^64 would reject every unit: refused at the
         # first draw
         code, out, err = invoke(
             capsys, "simulate", "chain", "--sizes", f"1,{2**64 + 1}",
@@ -767,10 +768,10 @@ class TestSimulate:
     )
     def test_draw_cap(self, capsys, monkeypatch, argv):
         # refused with exit code 2 before a single value is drawn
-        def no_draw(state, bound, count):
+        def no_draw(state, bound, words):
             raise AssertionError("drew before refusing")
 
-        monkeypatch.setattr(montecarlo, "_draw", no_draw)
+        monkeypatch.setattr(montecarlo, "_accepted", no_draw)
         code, out, err = invoke(capsys, "simulate", *argv, "--seed", "1")
         assert code == 2 and out == ""
         assert "random draws, cap is 100000000" in err
@@ -785,6 +786,68 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(["expected"]) == 2
+
+
+class TestBranchParser:
+    """``run`` parses with only the parser branch argv's first two words
+    name; whatever exits there is parsed again by the whole parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["verify", "--help"], ["verify", "chain", "--help"],
+        [], ["frobnicate"], ["verify", "chain"],
+        ["verify", "corollary", "--qmax", "0"],
+        # a group without its subcommand, or with an unknown one; an
+        # invalid choice and an invalid int inside a branch
+        ["simulate"], ["verify", "frobnicate"],
+        ["stirling", "--kind", "third"],
+        ["simulate", "chain", "--sizes", "2,2", "--samples", "x",
+         "--seed", "1"],
+    ])
+    def test_same_bytes_as_the_whole_parser(self, capsys, monkeypatch, argv):
+        # the help's width, whatever the terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parse_branch", lambda argv: None)
+            whole = invoke(capsys, *argv)
+        assert invoke(capsys, *argv) == whole
+        assert whole[0] in (0, 2) and any(whole[1:])
+
+    @pytest.mark.parametrize("argv", [
+        ["deg", "--file", "f.txt", "--q", "3"],
+        ["expected", "--sizes", "2,2", "--decimals", "4", "--json"],
+        ["expected-q", "--n", "3", "--m", "4", "--q", "2"],
+        ["verify", "chain", "--sizes", "3,3"],
+        ["verify", "degq", "--n", "2", "--m", "2", "--qmax", "3"],
+        ["verify", "en", "--m", "3", "--parts", "1,2"],
+        ["verify", "corollary", "--nmax", "0"],
+        ["stirling", "--kind", "first", "--rows", "4"],
+        ["bounds", "f.txt", "g.txt"],
+        ["bounds", "--exhaustive", "--n", "2"],
+        ["simulate", "chain", "--sizes", "2,2", "--samples", "9",
+         "--seed", "1"],
+        ["simulate", "maxfiber", "--n", "5", "--samples", "9", "--seed", "1",
+         "--json"],
+    ])
+    def test_branch_parses_as_the_whole_parser(self, monkeypatch, argv):
+        # every command: the branch alone gives the whole parser's
+        # arguments, and run builds nothing more
+        built = []
+        build = cli._build_parser
+
+        def recording(branch=None):
+            built.append(branch)
+            return build(branch)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        args = cli._parse_branch(argv)
+        assert args == build().parse_args(argv)
+        assert built == [argv[:2]]
+        branch = build(argv[:2])
+        (commands,) = [
+            action for action in branch._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(commands.choices) == [argv[0]]
 
 
 def _failing_square_moment(m, parts):

@@ -1,5 +1,6 @@
 """Seeded sampling: stream contract, determinism, statistical sanity."""
 
+import functools
 import os
 import signal
 import subprocess
@@ -9,7 +10,8 @@ import time
 from collections import Counter
 from pathlib import Path
 from fractions import Fraction
-from itertools import product
+from math import comb
+from itertools import islice, product
 
 import pytest
 
@@ -41,63 +43,63 @@ def words_between(start: int, end: int) -> int:
     return ((end - start) * _GAMMA_INVERSE) % (1 << 64)
 
 
-def reference_digits(bound):
-    """Digits per word of stream contracts 3 and 4: the largest k <= 64
-    with bound^k <= 2^64 (every power of 1 fits, so 1 takes 64)."""
-    return max(k for k in range(1, 65) if bound**k <= 2**64)
+def reference_rule(bound):
+    """Unit width and threshold of stream contract 5: the smallest w of
+    8, 16, 32 and 64 with bound <= 2^w, and 2^w - (2^w mod bound)."""
+    width = next(w for w in (8, 16, 32, 64) if bound <= 2**w)
+    return width, 2**width - 2**width % bound
+
+
+def units_per_word(bound):
+    return 64 // reference_rule(bound)[0]
+
+
+def reference_units(stream, width):
+    """Endless ``width``-bit units of ``stream``, from ``next_word``,
+    shifts and masks alone: each word's units, low bits first."""
+    while True:
+        word = stream.next_word()
+        for shift in range(0, 64, width):
+            yield word >> shift & (1 << width) - 1
+
+
+def reference_draws(stream, bound):
+    """Endless draws below ``bound`` under stream contract 5: u mod
+    bound for every unit u of ``reference_units`` below the threshold.
+    The stream is left after the word of the last draw taken."""
+    width, threshold = reference_rule(bound)
+    for unit in reference_units(stream, width):
+        if unit < threshold:
+            yield unit % bound
 
 
 def reference_draw(stream, bound, count):
     """``count`` draws below ``bound`` in one call (as ``randbelow`` and
-    ``sample_function`` make them), from ``next_word``, ``%`` and ``//``
-    alone: a word is accepted below the largest multiple of bound^k that
-    fits in 64 bits, and gives its base-``bound`` digits low digit
-    first, as many as are still needed."""
-    k = reference_digits(bound)
-    threshold = 2**64 // bound**k * bound**k
-    draws = []
-    while len(draws) < count:
-        word = stream.next_word()
-        if word < threshold:
-            for j in range(min(k, count - len(draws))):
-                draws.append(word // bound**j % bound)
-    return draws
-
-
-def reference_digit_stream(stream, bound):
-    """Endless digits below ``bound`` read from ``stream`` under stream
-    contract 4, from ``next_word``, ``%`` and ``//`` alone: every digit
-    of every accepted word, low digit first, one word at a time."""
-    k = reference_digits(bound)
-    threshold = 2**64 // bound**k * bound**k
-    while True:
-        word = stream.next_word()
-        if word < threshold:
-            for j in range(k):
-                yield word // bound**j % bound
+    ``sample_function`` make them): the units of the last word past the
+    last draw are dropped."""
+    return list(islice(reference_draws(stream, bound), count))
 
 
 def reference_streams(seed, block, bounds):
-    """Block ``block``'s SplitMix64 stream for each bound under stream
-    contract 4: the stream derived with index b from the block's
-    stream."""
+    """Block ``block``'s SplitMix64 stream for each bound: the stream
+    derived with index b from the block's stream."""
     start = derived_stream(seed, block)._state
     return {b: derived_stream(start, b) for b in bounds}
 
 
 def reference_chain_block(sizes, seed, block, count):
-    """Stream contract 4 through ``reference_digit_stream``: f_1 on all
-    of X_1, each later map only on the image points of the partial
-    composition, in order of first appearance, every draw below a bound
-    from that bound's digit stream.  Returns the block's (total,
-    total_sq) and each bound's SplitMix64 stream after its last digit."""
+    """Stream contract 5 through ``reference_draws``: f_1 on all of X_1,
+    each later map only on the image points of the partial composition,
+    in order of first appearance, every draw below a bound from that
+    bound's stream.  Returns the block's (total, total_sq) and each
+    bound's SplitMix64 stream after its last draw."""
     streams = reference_streams(seed, block, sizes[1:])
-    digits = {b: reference_digit_stream(s, b) for b, s in streams.items()}
+    draws = {b: reference_draws(s, b) for b, s in streams.items()}
     total = total_sq = 0
     for _ in range(count):
-        g = [next(digits[sizes[1]]) for _ in range(sizes[0])]
+        g = [next(draws[sizes[1]]) for _ in range(sizes[0])]
         for m in sizes[2:]:
-            image_of = {y: next(digits[m]) for y in dict.fromkeys(g)}
+            image_of = {y: next(draws[m]) for y in dict.fromkeys(g)}
             g = [image_of[y] for y in g]
         s_val = sum(c * c for c in Counter(g).values())
         total += s_val
@@ -106,49 +108,48 @@ def reference_chain_block(sizes, seed, block, count):
 
 
 def reference_maxfiber_block(n, seed, block, count):
-    """Max-fiber samples under stream contract 4: n digits below n each,
-    from the one digit stream of the block."""
-    digits = reference_digit_stream(
-        reference_streams(seed, block, [n])[n], n
-    )
+    """Max-fiber samples under stream contract 5: n draws below n each,
+    from the one stream of the block."""
+    draws = reference_draws(reference_streams(seed, block, [n])[n], n)
     total = total_sq = 0
     for _ in range(count):
-        m_val = max(Counter(next(digits) for _ in range(n)).values())
+        m_val = max(Counter(next(draws) for _ in range(n)).values())
         total += m_val
         total_sq += m_val * m_val
     return total, total_sq
 
 
-def record_draws(monkeypatch):
-    """Record every ``_draw`` call as (bound, count, state in, state
-    out)."""
+def record_rounds(monkeypatch):
+    """Record every ``_accepted`` call, the one rejection every draw
+    passes through, as (bound, words, state in, state out)."""
     calls = []
-    draw = montecarlo._draw
+    accepted = montecarlo._accepted
 
-    def recording_draw(state, bound, count):
-        end, draws = draw(state, bound, count)
-        calls.append((bound, count, state, end))
-        return end, draws
+    def recording(state, bound, words):
+        end = (state + words * montecarlo._GAMMA) % (1 << 64)
+        calls.append((bound, words, state, end))
+        return accepted(state, bound, words)
 
-    monkeypatch.setattr(montecarlo, "_draw", recording_draw)
+    monkeypatch.setattr(montecarlo, "_accepted", recording)
     return calls
 
 
 def words_per_bound(calls):
-    """SplitMix64 words the recorded draws read, per bound."""
+    """SplitMix64 words the recorded rounds read, per bound."""
     words = Counter()
-    for bound, _, start, end in calls:
-        words[bound] += words_between(start, end)
+    for bound, count, _, _ in calls:
+        words[bound] += count
     return words
 
 
 def batches_of(monkeypatch, words):
-    """Make every digit stream draw ``words`` words per batch."""
+    """Make every stream draw ``words`` words per batch."""
     monkeypatch.setattr(
-        montecarlo,
-        "_batch_sizes",
-        lambda draws: {b: words * reference_digits(b) for b in draws},
+        montecarlo, "_batch_sizes", lambda draws: dict.fromkeys(draws, words)
     )
+
+
+LANES = montecarlo._LANES
 
 
 def image_only_pmf(sizes):
@@ -189,17 +190,19 @@ def all_chains_pmf(sizes):
 
 
 class TestBatches:
-    # each digit stream is drawn in batches of whole words; the batch
-    # size must not change a single draw, so one-word and 500-word
-    # batches give the same reports as the default sizes
+    # each stream is drawn in batches of all accepted units of whole
+    # words; the batch size must not change a single draw, so one-word
+    # and 500-word batches give the same reports as the default sizes
     CASES = [
         (estimate_expected_degree_chain, (30, 20, 10)),
         (estimate_expected_degree_chain, (7, 5)),
         (estimate_expected_degree_chain, (50, 3, 50, 2)),
         (estimate_expected_degree_chain, (20,) * 20),
+        (estimate_expected_degree_chain, (9, 300, 70000, 2**33)),
         (estimate_max_fiber_mean, 30),
         (estimate_max_fiber_mean, 7),
         (estimate_max_fiber_mean, 6),
+        (estimate_max_fiber_mean, 257),
     ]
 
     @staticmethod
@@ -219,11 +222,12 @@ class TestBatches:
                 batches_of(patch, words)
                 assert self.report(estimate, size) == default, words
 
-    @pytest.mark.parametrize("n", [7, 30, 6, 10**4])
+    @pytest.mark.parametrize("n", [7, 30, 6, 257, 10**4])
     def test_maxfiber_matches_reference(self, monkeypatch, n):
-        # k = 22 digits below 7 and 13 below 30 do not divide n, so
-        # samples start inside words; 6^24 fits and k = 24 divides
-        # 4 * 6; 10^4 takes 2,500 whole words a sample
+        # 8 bytes a word below 257, rejected below 7 and 30 (256 mod 7
+        # = 4 and 256 mod 30 = 16), so samples start inside words; below
+        # 257 and 10^4 four 16-bit units a word; 10^4 takes about 2,731
+        # words a sample
         count = 3 if n == 10**4 else 40
         expected = reference_maxfiber_block(n, 11, 2, count)
         assert _maxfiber_block(n, 11, 2, count) == expected
@@ -233,9 +237,8 @@ class TestBatches:
     @pytest.mark.parametrize("n", [3, 7, 1001])
     def test_maxfiber_pieces_add_up(self, monkeypatch, n):
         # samples first..first+count-1 of a block, for a partition of
-        # the block into pieces that start at sample 0, inside a word
-        # and on a word's edge (below 1001, 6 digits a word: sample 6
-        # starts at digit 6006, a word's first)
+        # the block into pieces that start at sample 0 and inside the
+        # block, most of them inside a word
         whole = reference_maxfiber_block(n, 11, 2, 40)
         for cuts in ([0, 40], [0, 1, 2, 6, 7, 23, 39, 40], [0, 20, 40]):
             pieces = [
@@ -251,71 +254,73 @@ class TestBatches:
         )
 
     @pytest.mark.parametrize("sizes, batches", [
-        # 30 draws below 20, 14 digits a word: three words a batch
-        ((30, 20), {20: 42}),
-        # below 3 50 draws (40 a word), below 50 at most 3 (11 a word),
-        # below 2 at most 50 (64 a word)
-        ((50, 3, 50, 2), {3: 80, 50: 11, 2: 64}),
-        ((30,), {30: 39}),
+        # one bound: a whole round, 1,024 words
+        ((30, 20), {20: LANES}),
+        # below 3 at most 50 draws a sample, below 50 at most 3, below
+        # 2 at most 50, of 103: shares of 2^16 units of 8 a word, 3,976
+        # words for 3 and 2, cut to one round, and 238 for 50
+        ((50, 3, 50, 2), {3: LANES, 50: 238, 2: LANES}),
+        ((30,), {30: LANES}),
     ])
-    def test_batches_hold_one_sample(self, monkeypatch, sizes, batches):
-        calls = record_draws(monkeypatch)
+    def test_batch_words(self, monkeypatch, sizes, batches):
+        calls = record_rounds(monkeypatch)
         if len(sizes) == 1:
             _maxfiber_block(sizes[0], 1, 0, 3)
         else:
             _chain_block(sizes, 1, 0, 3)
-        assert {bound: count for bound, count, _, _ in calls} == batches
-        assert all(count == batches[bound] for bound, count, _, _ in calls)
+        assert {bound: words for bound, words, _, _ in calls} == batches
+        assert all(words == batches[bound] for bound, words, _, _ in calls)
 
 
 class TestBatchCap:
-    # all batches of a block together hold at most _DRAW_CHUNK digits
-    # beyond one word per bound, and every batch at least one word
+    # all batches of a block together hold at most _DRAW_CHUNK units
+    # beyond one word per bound, and every batch at least one word and
+    # at most one round
     @staticmethod
     def check_batches(calls):
-        sizes = {}
+        words = {}
         for bound, count, _, _ in calls:
-            k = reference_digits(bound)
-            assert count >= k and count % k == 0, (bound, count)
-            assert sizes.setdefault(bound, count) == count, bound
-        assert sum(sizes.values()) <= montecarlo._DRAW_CHUNK + sum(
-            reference_digits(b) for b in sizes
-        )
-        return sizes
+            assert 1 <= count <= LANES, (bound, count)
+            assert words.setdefault(bound, count) == count, bound
+        assert sum(
+            count * units_per_word(b) for b, count in words.items()
+        ) <= montecarlo._DRAW_CHUNK + sum(map(units_per_word, words))
+        return words
 
     def test_many_distinct_bounds(self, monkeypatch):
         # 2, 3, ..., 401: 399 bounds, at most two draws each a sample,
-        # so every stream gets one word
-        calls = record_draws(monkeypatch)
+        # so each stream's share is 2^16 * 2 / 798 = 164 units: 20
+        # words of bytes up to 256, 41 of 16-bit units above
+        calls = record_rounds(monkeypatch)
         _chain_block(tuple(range(2, 402)), 1, 0, 2)
-        sizes = self.check_batches(calls)
-        assert sizes == {b: reference_digits(b) for b in range(3, 402)}
+        words = self.check_batches(calls)
+        assert words == {b: 164 // units_per_word(b) for b in range(3, 402)}
 
-    def test_word_digits_once_per_bound(self):
-        # 3, 4, ..., 1501: more bounds than any fixed-size cache holds,
-        # each looked up again by every batch drawn below it
-        montecarlo._word_digits.cache_clear()
-        _chain_block(tuple(range(2, 1502)), 1, 0, 2)
-        info = montecarlo._word_digits.cache_info()
-        assert info.misses == 1499 and info.hits >= 1499
+    def test_byte_tables_once_per_bound(self):
+        # 3, 4, ..., 1501: each bound up to 256 builds its translate
+        # tables once, however many blocks read them, and no wider bound
+        # holds any
+        montecarlo._byte_rule.cache_clear()
+        for block in (0, 1):
+            _chain_block(tuple(range(2, 1502)), 1, block, 2)
+        info = montecarlo._byte_rule.cache_info()
+        assert info.misses == info.currsize == 254 and info.hits >= 254
 
     @pytest.mark.parametrize("sizes", [
         (10**6, 2), (10**6, 3, 10**6, 7), (300_000, 10**4, 5),
     ])
     def test_large_first_set(self, monkeypatch, sizes):
-        # the first map's stream takes nearly the whole cap, and the
-        # others their share of it
-        calls = record_draws(monkeypatch)
+        # the first map's stream takes a whole round, and the others
+        # their share of the cap
+        calls = record_rounds(monkeypatch)
         _chain_block(sizes, 1, 0, 1)
         batches = self.check_batches(calls)
-        assert batches[sizes[1]] > montecarlo._DRAW_CHUNK // 3
+        assert batches[sizes[1]] == LANES
 
     def test_large_max_fiber(self, monkeypatch):
-        calls = record_draws(monkeypatch)
+        calls = record_rounds(monkeypatch)
         _maxfiber_block(10**6, 1, 0, 1)
-        assert self.check_batches(calls) == {
-            10**6: montecarlo._DRAW_CHUNK // 3 * 3
-        }
+        assert self.check_batches(calls) == {10**6: LANES}
 
 
 class TestSplitMix64:
@@ -338,12 +343,12 @@ class TestSplitMix64:
             for _ in range(200):
                 assert 0 <= stream.randbelow(bound) < bound
 
-    @pytest.mark.parametrize(
-        "bound", [1, 2, 7, 10**9, 2**63 + 1, 2**63 + 5, 2**64]
-    )
+    @pytest.mark.parametrize("bound", [
+        1, 2, 7, 255, 257, 2**16 + 1, 10**9, 2**63 + 1, 2**63 + 5, 2**64,
+    ])
     def test_randbelow_matches_reference_rejection(self, bound):
-        # one draw per call, so one accepted word each: same values, same
-        # state as the reference
+        # one draw per call, each from a fresh word, the rest of which
+        # is dropped: same values, same state as the reference
         stream, reference = SplitMix64(77), SplitMix64(77)
         for _ in range(50):
             assert [stream.randbelow(bound)] == reference_draw(
@@ -357,8 +362,8 @@ class TestSplitMix64:
 
     @pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 10**30])
     def test_bound_above_one_word_refused(self, deadline, bound):
-        # no word is below floor(2^64 / bound) * bound = 0: refused, not
-        # drawn for ever, and the stream does not move
+        # no 64-bit unit is below 2^64 - (2^64 mod bound) <= 0: refused,
+        # not drawn for ever, and the stream does not move
         stream = SplitMix64(1)
         with pytest.raises(InvalidSizeError, match="must be <= 2\\^64"):
             stream.randbelow(bound)
@@ -375,35 +380,31 @@ class TestSplitMix64:
             assert derived_stream(42, i)._state == word
 
 
-# every bound whose digits per word change at an edge, and some between
+# every bound at an edge of a unit width, and some between
 CONTRACT_BOUNDS = [
-    1, 2, 3, 7, 20, 50, 10**4,
+    1, 2, 3, 7, 20, 50, 255, 256, 257, 10**4, 2**16 - 1, 2**16, 2**16 + 1,
     2**32 - 1, 2**32, 2**32 + 1, 2**63 + 5, 2**64,
 ]
 
 
 class TestDrawContract:
     @pytest.mark.parametrize("bound", CONTRACT_BOUNDS)
-    def test_digits_per_word(self, deadline, bound):
-        k = reference_digits(bound)
-        assert montecarlo._word_digits(bound) == (
-            k, 2**64 // bound**k * bound**k
-        )
-        if bound == 1:
-            assert k == 64 == reference_digits(2)
-        else:
-            assert bound**k <= 2**64 < bound ** (k + 1)
-        assert k == 1 if bound > 2**32 else k >= 2
+    def test_unit_rule(self, bound):
+        width, threshold = montecarlo._unit_rule(bound)
+        assert (width, threshold) == reference_rule(bound)
+        assert bound <= 2**width and (width == 8 or bound > 2 ** (width // 2))
+        # the largest multiple of the bound that fits in w bits
+        assert threshold % bound == 0 and 2**width - threshold < bound
 
     @pytest.mark.parametrize("bound", CONTRACT_BOUNDS)
     def test_draw_matches_reference(self, deadline, bound):
-        # values and end state, for counts around one word's digits and
-        # of 40 words less one digit (rounds of many words), from enough
-        # seeds that words in the rejected range come up for the bounds
-        # that reject often (7, 50 and 3 reject 15-34% of words)
-        k = reference_digits(bound)
-        for seed in range(10):
-            for count in (1, k - 1, k, k + 1, 3 * k + 2, 40 * k - 1):
+        # values and end state, for counts around one word's units and
+        # of 40 words less one unit (rounds of many words), from seeds
+        # enough that rejected units come up for the bounds that reject
+        # often (7, 50, 257 and 2^16 + 1 reject 2-50% of units)
+        k = units_per_word(bound)
+        for seed in (0, 1, 5, 2**64 - 1):
+            for count in {1, k - 1, k, k + 1, 3 * k + 2, 40 * k - 1} - {0}:
                 reference = SplitMix64(seed)
                 expected = reference_draw(reference, bound, count)
                 state, draws = montecarlo._draw(
@@ -413,8 +414,8 @@ class TestDrawContract:
                 assert state == reference._state, (seed, count)
 
     def test_calls_start_on_a_fresh_word(self):
-        # two calls of 3 digits each read two words, one call of 6 reads
-        # one (no word is rejected at this seed)
+        # two calls of 3 draws below 50 read two words, one call of 6
+        # reads one (no unit of the first word is rejected at this seed)
         state = SplitMix64(5)._state
         state_a, first = montecarlo._draw(state, 50, 3)
         state_b, second = montecarlo._draw(state_a, 50, 3)
@@ -423,112 +424,140 @@ class TestDrawContract:
         assert words_between(state, state_b) == 2
         assert words_between(state, state_c) == 1
 
-    def test_adjacent_digits_independent(self):
-        # pairs (d_i, d_{i+1}) at base 3, 40 digits per word, at each
-        # offset i mod 40 in turn; offset 39 pairs the last digit of a
-        # word with the first of the next.  Pairs at one offset come
-        # from disjoint digits, so each offset gives a chi-square on 8
-        # degrees of freedom, below 26.12 (p = 0.001) at this seed
-        k, words = 40, 3000
-        _, digits = montecarlo._draw(SplitMix64(31)._state, 3, k * words)
-        assert reference_digits(3) == k
+    @pytest.mark.parametrize("bound, cell", [
+        # 8 units a word, 1 in 256 rejected; 4 units, 64 in 2^16; 2
+        # units, none rejected: a draw d is in cell d // cell of three
+        (3, 1), (300, 100), (3 << 20, 1 << 20),
+    ])
+    def test_units_independent_at_every_offset(self, bound, cell):
+        # pairs (c_i, c_{i+1}) of the cells of units i and i + 1, for
+        # the units at each offset in a word in turn; the last offset
+        # pairs a word's last unit with the next word's first.  Pairs at
+        # one offset come from disjoint units, so each offset gives a
+        # chi-square on 8 degrees of freedom, below 26.12 (p = 0.001) at
+        # this seed.  The draws are the reference's accepted units
+        width, threshold = reference_rule(bound)
+        k, words = 64 // width, 3000
+        units = list(islice(reference_units(SplitMix64(31), width), k * words))
+        draws = [u % bound for u in units if u < threshold]
+        assert montecarlo._draw(SplitMix64(31)._state, bound, len(draws))[
+            1
+        ] == draws
         for offset in range(k):
             pairs = Counter(
-                zip(digits[offset::k], digits[offset + 1::k])
+                (a % bound // cell, b % bound // cell)
+                for a, b in zip(units[offset::k], units[offset + 1::k])
+                if a < threshold and b < threshold
             )
             samples = sum(pairs.values())
-            assert samples >= words - 1 and len(pairs) == 9, offset
+            assert samples >= 0.98 * (words - 1) and len(pairs) == 9, offset
             expected = samples / 9
             chi_square = sum((c - expected) ** 2 / expected
                              for c in pairs.values())
             assert chi_square < 26.12, (offset, chi_square)
 
 
-LANES = montecarlo._LANES
+def round_sizes(monkeypatch):
+    """Record the words of every round ``_mixed_lanes`` mixes."""
+    rounds = []
+    mixed = montecarlo._mixed_lanes
+
+    def recording(state, n):
+        rounds.append(n)
+        return mixed(state, n)
+
+    monkeypatch.setattr(montecarlo, "_mixed_lanes", recording)
+    return rounds
+
+
+def lane_words(seed, n):
+    """The next n words of the stream at ``seed``, mixed in one round."""
+    return list(
+        montecarlo._lane_units(montecarlo._mixed_lanes(seed, n), n, 64)
+    )
 
 
 class TestBatchedWords:
-    """``_draw`` mixes its words a round at a time in lane-packed ints
-    (``_words``); every draw and every end state must still be the
-    word-at-a-time reference's."""
+    """``_draw`` mixes its words a round at a time in lane-packed ints;
+    every draw and every end state must still be the word-at-a-time
+    reference's."""
 
     @pytest.mark.parametrize("n", [1, 2, LANES - 1, LANES])
     def test_words_are_next_words(self, n):
         for seed in (0, 5, (1 << 64) - 1):
             stream = SplitMix64(seed)
-            assert montecarlo._words(seed, n) == [
+            assert lane_words(seed, n) == [
                 stream.next_word() for _ in range(n)
             ]
 
-    def test_lanes_decode_on_either_byte_order(self):
-        # the machine's order reads the words; the other order reads
-        # each of them byte-swapped, in the same lane order
-        words = montecarlo._words(9, 5)
-        lanes = sum(w << (128 * j) for j, w in enumerate(words))
-        native = montecarlo._lane_words(lanes, 5)
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_units_on_either_byte_order(self, width):
+        # the machine's order reads the reference's units; the other
+        # order reads each unit byte-swapped, in the same order.  Bytes
+        # are the same on both
+        lanes = montecarlo._mixed_lanes(9, 5)
+        expected = list(islice(reference_units(SplitMix64(9), width),
+                               5 * 64 // width))
         other = "big" if sys.byteorder == "little" else "little"
-        swapped = montecarlo._lane_words(lanes, 5, other)
-        assert native == words
-        assert [
-            int.from_bytes(w.to_bytes(8, "little"), "big") for w in swapped
-        ] == words
+        native = montecarlo._lane_units(lanes, 5, width)
+        swapped = montecarlo._lane_units(lanes, 5, width, other)
+        assert list(native) == expected
+        size = width // 8
+        assert list(swapped) == [
+            int.from_bytes(u.to_bytes(size, "little"), "big") for u in expected
+        ]
 
     @staticmethod
     def check(seed, bound, count, monkeypatch):
         """Compare one call with the reference; return the sizes of its
         rounds, which must add up to the words it read: no word is
-        mixed past the last one accepted."""
-        rounds = []
-        words = montecarlo._words
-
-        def recording_words(state, n):
-            rounds.append(n)
-            return words(state, n)
-
+        mixed past the one that holds the last draw."""
         reference = SplitMix64(seed)
         expected = reference_draw(reference, bound, count)
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_words", recording_words)
+            rounds = round_sizes(patch)
             state, draws = montecarlo._draw(seed, bound, count)
         assert draws == expected, (seed, bound, count)
         assert state == reference._state, (seed, bound, count)
         assert sum(rounds) == words_between(seed, state)
         return rounds
 
-    def test_half_the_words_rejected(self, deadline, monkeypatch):
-        # below 2^63 + 1 a word is accepted under 2^63 + 1 only: about
-        # half are rejected, so a call takes several rounds, each of the
-        # words still missing, and past _LANES words a round is cut to
-        # _LANES
-        for seed, count in [(1, 1), (2, 7), (3, 100), (4, LANES + 300)]:
-            rounds = self.check(seed, 2**63 + 1, count, monkeypatch)
+    @pytest.mark.parametrize("bound", [129, 2**15 + 1, 2**31 + 1, 2**63 + 1])
+    def test_half_the_units_rejected(self, deadline, monkeypatch, bound):
+        # about half of the units are rejected, so a call takes several
+        # rounds, the first of the words the draws need if every unit
+        # is accepted, and past _LANES words a round is cut to _LANES
+        k = units_per_word(bound)
+        for seed, count in [(1, 1), (2, 7), (3, 100), (4, (LANES + 300) * k)]:
+            rounds = self.check(seed, bound, count, monkeypatch)
             assert len(rounds) > (count > 1)
-            assert rounds[0] == min(count, LANES)
+            assert rounds[0] == min(-(-count // k), LANES)
 
     def test_count_zero(self):
         for bound in (1, 20, 2**64):
             assert montecarlo._draw(123, bound, 0) == (123, [])
 
-    @pytest.mark.parametrize("bound", [1, 20, 2**64])
+    @pytest.mark.parametrize("bound", [1, 20, 2**16, 2**64])
     @pytest.mark.parametrize("words", [LANES - 1, LANES, LANES + 1])
     def test_rounds_around_the_lane_count(
         self, deadline, monkeypatch, bound, words
     ):
-        # whole words' digits: below 1 and 2^64 every word is accepted,
-        # so the call is one round of words < _LANES, one of _LANES, or
-        # one of _LANES and one of a single word; below 20 some words
-        # are rejected and more rounds follow
+        # whole words' units: below 1, 2^16 and 2^64 every unit is
+        # accepted, so the call is one round of words < _LANES, one of
+        # _LANES, or one of _LANES and one of a single word; below 20
+        # some units are rejected and more rounds follow
         rounds = self.check(
-            6, bound, words * reference_digits(bound), monkeypatch
+            6, bound, words * units_per_word(bound), monkeypatch
         )
         assert rounds[0] == min(words, LANES)
         if bound != 20:
             assert rounds == [min(words, LANES)] + [1] * (words > LANES)
 
     def test_sample_function(self):
-        # past _LANES words, and with about half the words rejected
+        # past _LANES words, and with about half the units rejected
         # (randbelow's draws are checked in TestSplitMix64)
-        for n, m in [(LANES * 14 + 5, 20), (3000, 2**63 + 1)]:
+        for n, m in [(LANES * 14 + 5, 20), (3000, 2**15 + 1),
+                     (3000, 2**63 + 1)]:
             stream, reference = SplitMix64(42), SplitMix64(42)
             f = sample_function(n, m, stream)
             assert list(f.images) == reference_draw(reference, m, n)
@@ -536,62 +565,72 @@ class TestBatchedWords:
 
 
 class TestSkip:
-    """``_skip`` passes over the first digits of a stream without
-    extracting them; a ``_draw`` from where it stops, less the digits it
-    says to drop, reads on where one long ``_draw`` would."""
+    """``_skip`` passes over the first draws of a stream without making
+    them; a ``_draw`` from where it stops, less the draws it says to
+    drop, reads on where one long ``_draw`` would."""
 
     @staticmethod
-    def check(seed, bound, digits, monkeypatch, count=5):
+    def check(seed, bound, count, monkeypatch, more=5):
         """Compare a skip and a draw with one draw and with the
-        word-at-a-time reference; return the sizes of the skip's
-        rounds."""
-        rounds = []
-        mixed = montecarlo._mixed_lanes
-
-        def recording_mixed(state, n):
-            rounds.append(n)
-            return mixed(state, n)
-
+        word-at-a-time reference; return the sizes of the skip's rounds
+        and the draws it leaves to drop."""
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_mixed_lanes", recording_mixed)
-            state, drop = montecarlo._skip(seed, bound, digits)
-        k = reference_digits(bound)
-        # the state after the accepted words that hold the digits whole
+            rounds = round_sizes(patch)
+            state, drop = montecarlo._skip(seed, bound, count)
+        # the words passed hold count - drop accepted units, and at most
+        # one word's units are left to drop
+        width, threshold = reference_rule(bound)
+        words = words_between(seed, state)
+        units = islice(reference_units(SplitMix64(seed), width),
+                       words * 64 // width)
+        assert sum(u < threshold for u in units) == count - drop
+        assert 0 <= drop <= 64 // width
         reference = SplitMix64(seed)
-        reference_draw(reference, bound, digits // k * k)
-        assert (state, drop) == (reference._state, digits % k)
-        end, tail = montecarlo._draw(state, bound, drop + count)
-        whole_end, whole = montecarlo._draw(seed, bound, digits + count)
-        assert end == whole_end and tail[drop:] == whole[digits:]
-        # no word is mixed past the last accepted one
-        assert sum(rounds) == words_between(seed, state)
-        return rounds
+        expected = reference_draw(reference, bound, count + more)[count:]
+        end, tail = montecarlo._draw(state, bound, drop + more)
+        assert tail[drop:] == expected and end == reference._state
+        # no word is mixed past the last one passed
+        assert sum(rounds) == words
+        return rounds, drop
 
-    @pytest.mark.parametrize("digits", [0, 1, 39, 40, 41, 40 * 7 + 13])
-    def test_about_a_third_rejected(self, deadline, monkeypatch, digits):
-        # below 3 a word holds k = 40 digits and about 34% of the words
-        # are rejected, so a skip of several words takes several rounds;
-        # 0 and 1..39 digits skip no word, 41 cuts a word after 1 digit
-        assert reference_digits(3) == 40
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 8 * 7 + 5, 8 * 40])
+    def test_half_the_bytes_rejected(self, deadline, monkeypatch, count):
+        # below 129 a word holds 8 bytes and about half are rejected, so
+        # a skip of several words takes several rounds; up to 8 draws
+        # pass no word, and every round passes only whole words
         for seed in range(8):
-            rounds = self.check(seed, 3, digits, monkeypatch)
-            assert (rounds == []) == (digits < 40)
-            assert all(r <= digits // 40 for r in rounds)
+            rounds, drop = self.check(seed, 129, count, monkeypatch)
+            assert (rounds == []) == (count <= 8)
+            assert all(r <= (count - 1) // 8 for r in rounds)
 
-    @pytest.mark.parametrize("bound", [2, 7, 1001, 10**4, 2**63 + 1, 2**64])
-    def test_cut_inside_a_word(self, deadline, monkeypatch, bound):
-        # 2 and 2^64 reject no word (threshold 2^64); 2^63 + 1 about half
-        k = reference_digits(bound)
-        for seed, digits in [(1, k // 2), (2, 3 * k + k // 2), (3, 5 * k)]:
-            self.check(seed, bound, digits, monkeypatch)
+    @pytest.mark.parametrize("bound", [
+        2, 7, 255, 256, 257, 1001, 10**4, 2**16 - 1, 2**16, 2**16 + 1,
+        2**32, 2**32 + 1, 2**63 + 1, 2**64,
+    ])
+    def test_skips_inside_and_at_word_edges(
+        self, deadline, monkeypatch, bound
+    ):
+        # 0 draws; a word's units less one, all of them and one more;
+        # several words and a half.  Below 2, 256, 2^16, 2^32 and 2^64
+        # no unit is rejected, so a skip of whole words ends on a word's
+        # edge and leaves a full word's units to drop
+        k = units_per_word(bound)
+        for seed in (1, 2, 3):
+            for count in (0, k - 1, k, k + 1, 5 * k, 5 * k + k // 2):
+                _, drop = self.check(seed, bound, count, monkeypatch)
+                if count == 0:
+                    assert drop == 0
+        if reference_rule(bound)[1] == 2 ** (64 // k):
+            assert self.check(4, bound, 5 * k, monkeypatch)[1] == k
 
     def test_more_than_one_round(self, deadline, monkeypatch):
-        # more accepted words than one round mixes: the first round is
-        # _LANES words, and later ones the accepted words still missing
-        for bound in (3, 2**63 + 1):
-            k = reference_digits(bound)
-            digits = (2 * LANES + 300) * k + 1
-            rounds = self.check(5, bound, digits, monkeypatch)
+        # more words than one round mixes: the first rounds are _LANES
+        # words, and later ones a word less than the draws still
+        # missing need if every unit is accepted
+        for bound in (129, 2**15 + 1, 2**63 + 1):
+            k = units_per_word(bound)
+            count = (2 * LANES + 300) * k + 1
+            rounds, _ = self.check(5, bound, count, monkeypatch)
             assert rounds[:2] == [LANES, LANES] and len(rounds) > 3
 
 
@@ -665,15 +704,14 @@ class TestEstimateChain:
 
     @pytest.mark.parametrize("sizes", [
         (5, 3, 4, 2, 6), (7, 1, 5, 5), (50, 3, 50, 2), (20,) * 20,
+        (9, 300, 70000, 2**33),
     ])
     def test_matches_public_sampling_api(self, monkeypatch, sizes):
-        # the block loop must draw what reference_digit_stream, on the
-        # public next_word and derived_stream, draws under stream
-        # contract 4; with one-word batches each stream also reads
-        # exactly the words up to its last used digit, as the lazy
-        # reference does
+        # the block loop must draw what reference_draws, on the public
+        # next_word and derived_stream, draws under stream contract 5;
+        # with one-word batches each stream also reads exactly the words
+        # up to the one of its last draw, as the lazy reference does
         seed, block = 5, 3
-        start = derived_stream(seed, block)._state
         for count in (BLOCK_SAMPLES, 37):
             ref_sums, streams = reference_chain_block(
                 sizes, seed, block, count
@@ -681,12 +719,11 @@ class TestEstimateChain:
             assert _chain_block(sizes, seed, block, count) == ref_sums
             with monkeypatch.context() as patch:
                 batches_of(patch, 1)
-                calls = record_draws(patch)
+                calls = record_rounds(patch)
                 assert _chain_block(sizes, seed, block, count) == ref_sums
-            assert {c for _, c, _, _ in calls} <= {
-                reference_digits(b) for b in streams
-            }
+            assert {words for _, words, _, _ in calls} == {1}
             words = words_per_bound(calls)
+            start = derived_stream(seed, block)._state
             for bound, stream in streams.items():
                 assert [end for b, _, _, end in calls if b == bound][-1] == (
                     stream._state
@@ -695,21 +732,48 @@ class TestEstimateChain:
                     derived_stream(start, bound)._state, stream._state
                 ), (count, bound)
 
-    @pytest.mark.parametrize("sizes, low, high", [
-        ((20,) * 20, 7.5, 7.8), ((50, 50, 50, 50), 11.9, 12.3),
+    @staticmethod
+    def expected_draws(sizes):
+        """Exact mean draws of a chain sample: n_1, then one per image
+        point of each partial composition.  k points map onto j of m
+        with probability C(m, j) surj(k, j) / m^k."""
+
+        def surjections(k, j):
+            return sum((-1) ** i * comb(j, i) * (j - i) ** k
+                       for i in range(j + 1))
+
+        points = {sizes[0]: Fraction(1)}
+        total = Fraction(0)
+        for m in sizes[1:]:
+            total += sum(k * p for k, p in points.items())
+            image = Counter()
+            for k, p in points.items():
+                for j in range(1, min(k, m) + 1):
+                    image[j] += p * comb(m, j) * surjections(k, j) / m**k
+            points = image
+        return total
+
+    @pytest.mark.parametrize("sizes, words", [
+        ((20,) * 20, 14.0), ((50, 50, 50, 50), 13.5),
     ])
     @pytest.mark.parametrize("seed", [7, 8])
-    def test_words_per_sample(self, monkeypatch, sizes, low, high, seed):
-        # one word holds 14 draws below 20 and 11 below 50.  A sample of
-        # either chain draws about 105 values: 7.5 words below 20, and
-        # 9.6 below 50, where about a fifth of the words are rejected.
-        # Only the digits left in each batch when the block ends go
-        # unused.  Under stream contract 3 every draw call started on a
-        # fresh word: 20.6 and 13.7 words per sample
-        calls = record_draws(monkeypatch)
+    def test_words_per_sample(self, monkeypatch, sizes, words, seed):
+        # a sample of either chain makes about 105 draws (105.0 below
+        # 20, 105.5 below 50), 8 units a word, and a unit is accepted
+        # with probability 240/256 below 20 and 250/256 below 50: 14.0
+        # and 13.5 words.  One-word batches read no word past a block's
+        # last draw.  Under stream contract 4 (14 and 11 digits a word,
+        # whole words rejected) a sample read 7.7 and 12.1 words
+        width, threshold = reference_rule(sizes[1])
+        expected = self.expected_draws(sizes) / (
+            64 // width * Fraction(threshold, 2**width)
+        )
+        assert round(float(expected), 1) == words
+        calls = record_rounds(monkeypatch)
+        batches_of(monkeypatch, 1)
         _chain_block(sizes, seed, 0, BLOCK_SAMPLES)
-        words = sum(words_per_bound(calls).values())
-        assert low * BLOCK_SAMPLES <= words <= high * BLOCK_SAMPLES
+        read = sum(words_per_bound(calls).values()) / BLOCK_SAMPLES
+        assert abs(read - expected) <= 0.01 * expected
 
     def test_image_only_draws_have_the_chain_law(self):
         # drawing each later map only on the image of the partial
@@ -787,9 +851,10 @@ class TestEstimateMaxFiber:
     def test_pinned_stream(self):
         # values of the stream contract, three blocks at seed 5
         report = estimate_max_fiber_mean(7, SamplerConfig(seed=5, samples=3000))
-        # (computed from reference_maxfiber_block)
-        assert report.mean == 2.53
-        assert report.std_error == 0.012200849616108548
+        # (computed from reference_maxfiber_block; stream contract 4
+        # gave 2.53 and 0.012200849616108548)
+        assert report.mean == 2.4923333333333333
+        assert report.std_error == 0.011663007730591998
 
     def test_deterministic(self):
         config = SamplerConfig(seed=13, samples=1500)
@@ -801,10 +866,10 @@ class TestEstimateMaxFiber:
 def refuse_drawing(monkeypatch):
     """Make every draw fail, so a refusal is shown to come first."""
 
-    def no_draw(state, bound, count):
+    def no_draw(state, bound, words):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(montecarlo, "_draw", no_draw)
+    monkeypatch.setattr(montecarlo, "_accepted", no_draw)
 
 
 class TestDrawCap:
@@ -944,7 +1009,8 @@ montecarlo._run_blocks(block_fn, {samples}, 1, {grain})
 
 CHAIN_753 = SamplerConfig(seed=4, samples=2048, sizes=ChainSpec((7, 5, 3)))
 # one block of max-fiber samples: on two CPUs the worker's share starts
-# at sample 500, inside the block and inside a word (22 digits below 7)
+# at sample 500, inside the block and, 8 units a word with 4 in 256
+# rejected below 7, most likely inside a word
 MAXFIBER_7 = SamplerConfig(seed=4, samples=1000)
 # a run of each block function, forked on two CPUs
 RUNS = {
@@ -962,9 +1028,9 @@ class TestWorkers:
         (estimate_expected_degree_chain, (7, 5, 3)),
         (estimate_max_fiber_mean, 7),
     ]
-    # one block, split over the workers: below 1001 a word holds 6
-    # digits, so most shares start inside a word; below 3 it holds 40
-    # and about a third of the words are rejected
+    # one block, split over the workers: below 1001 a word holds four
+    # 16-bit units, so most shares start inside a word; below 3 it
+    # holds 8 bytes, and 1 in 256 is rejected
     ONE_BLOCK = [
         (estimate_max_fiber_mean, 1001, 100),
         (estimate_max_fiber_mean, 3, 1000),
@@ -1198,6 +1264,29 @@ class TestWorkers:
         block_failing(monkeypatch, block, failure, "here")
         with pytest.raises(type(failure)):
             RUNS[block]()
+        assert no_child_left()
+
+    def test_lane_constants_built_before_forking(self, monkeypatch, tmp_path):
+        # the run's process builds the lane constants before its first
+        # fork, so a forked run builds them once, there, and its worker
+        # inherits them instead of building them again
+        log = tmp_path / "built"
+        build = montecarlo._lane_constants.__wrapped__
+
+        @functools.cache
+        def recorded():
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return build()
+
+        monkeypatch.setattr(montecarlo, "_lane_constants", recorded)
+        forks = use_cpus(monkeypatch, 2)
+        for name, run in RUNS.items():
+            recorded.cache_clear()
+            log.write_text("")
+            run()
+            assert log.read_text() == f"{os.getpid()}\n", name
+        assert len(forks) == len(RUNS)
         assert no_child_left()
 
     def test_mid_block_share(self):

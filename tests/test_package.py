@@ -85,8 +85,10 @@ def test_exit_hooks_are_found():
         "atexit", "atexit", "weakref.finalize", "weakref.finalize"]
 
 
-# dataclasses pulls in the rest; together they cost a cold call ~10 ms
-HEAVY_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+# dataclasses pulls in the next four; together they cost a cold call
+# ~10 ms.  array, an extension module, costs about 0.5 ms, and only a
+# big-endian machine's draws need it
+HEAVY_MODULES = ["dataclasses", "inspect", "ast", "dis", "tokenize", "array"]
 
 
 @pytest.mark.parametrize("module", ["noninv", "noninv.cli"])
